@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import seeds
-from .dataset import DatasetError, DatasetRow, DatasetTable, write_feature_csv
+from .dataset import DOMAINS, DatasetError, DatasetRow, DatasetTable, write_feature_csv
 from .fitting import DEFAULT_BUDGET, DEFAULT_REPLICATES, fit_model
 from .generators import MODEL_NAMES, generate, params_from_json_obj
 from .gof import correlation_matrix, mean_distance_matrix, pca_project
@@ -31,6 +31,10 @@ STABILITY_MODELS = ("WS", "CBA", "DD", "Com", "2K")
 _UNSET = object()  # distinguishes "flag not given" from an explicit value
 
 
+class InputError(ValueError):
+    """Malformed manifest or config file; the message names file and line."""
+
+
 def _read_config(path):
     """Parse a `key = value` config file into a defaults dict."""
     values = {}
@@ -39,12 +43,15 @@ def _read_config(path):
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise SystemExit(f"config {path}:{lineno}: expected 'key = value'")
+            raise InputError(f"config {path}:{lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
         raw = raw.strip()
         if key in ("seed", "jobs", "replicates", "folds", "budget", "fit_replicates"):
-            values[key] = int(raw)
+            try:
+                values[key] = int(raw)
+            except ValueError:
+                raise InputError(f"config {path}:{lineno}: {key} must be an integer") from None
         else:
             values[key] = raw
     return values
@@ -137,21 +144,34 @@ def cmd_generate(args):
 
 
 def _read_manifest(path):
+    """Manifest rows as (name, absolute path, domain), all checked up front.
+
+    Domains form the closed vocabulary ``dataset.DOMAINS``; any bad row
+    stops the run before the first fit.
+    """
     base = Path(path).parent
     entries = []
+    names = set()
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header] != ["name", "path", "domain"]:
-            raise SystemExit(f"manifest {path}: header must be name,path,domain")
+            raise InputError(f"manifest {path}:1: header must be name,path,domain")
         for record in reader:
             if not record:
                 continue
+            where = f"manifest {path}:{reader.line_num}"
+            if len(record) != 3:
+                raise InputError(f"{where}: expected 3 fields name,path,domain, got {len(record)}")
             name, rel, domain = (field.strip() for field in record)
+            if domain not in DOMAINS:
+                raise InputError(
+                    f"{where}: unknown domain {domain!r} (expected one of {', '.join(DOMAINS)})"
+                )
+            if name in names:
+                raise InputError(f"{where}: duplicate name {name!r}")
+            names.add(name)
             entries.append((name, str((base / rel).resolve()), domain))
-    names = [e[0] for e in entries]
-    if len(set(names)) != len(names):
-        raise SystemExit(f"manifest {path}: duplicate names")
     return entries
 
 
@@ -395,15 +415,15 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _read_config(args.config) if args.config else {}
-    for key, real_default in getattr(args, "real_defaults", {}).items():
-        if getattr(args, key, None) is _UNSET:
-            setattr(args, key, config.get(key, real_default))
-    if getattr(args, "needs_out", False) and not args.out:
-        parser.error(f"{args.command}: --out is required (flag or config file)")
     try:
+        config = _read_config(args.config) if args.config else {}
+        for key, real_default in getattr(args, "real_defaults", {}).items():
+            if getattr(args, key, None) is _UNSET:
+                setattr(args, key, config.get(key, real_default))
+        if getattr(args, "needs_out", False) and not args.out:
+            parser.error(f"{args.command}: --out is required (flag or config file)")
         return args.func(args)
-    except (DatasetError, EdgeListError, OSError) as exc:
+    except (InputError, DatasetError, EdgeListError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

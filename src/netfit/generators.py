@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -283,18 +284,22 @@ def generate_dd(params, seed):
     link independently with probability p; a replica that keeps no link
     is discarded and the attempt counts as a failure. Errors out after
     10000*n failed attempts (p > 0 makes success almost sure long before).
+
+    Rows stay sorted as they grow: a replica's id exceeds every earlier
+    id, so appending it to each kept neighbor's row keeps that row in
+    order, and the replica's own row is a subsequence of a sorted row.
     """
     params.validate()
     n, p = params.n, params.p
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder(2)
-    builder.add_edge(0, 1)
-    current = 2
+    adj = [[1], [0]]
     failures = 0
     budget = DD_FAILURE_BUDGET_PER_NODE * n
-    while current < n:
-        v = int(rng.integers(current))
-        kept = [u for u in sorted(builder.neighbors(v)) if rng.random() < p]
+    while len(adj) < n:
+        nbrs = adj[int(rng.integers(len(adj)))]
+        # one coin per neighbor, in row order: the same doubles as one
+        # rng.random() call per neighbor
+        kept = list(compress(nbrs, (rng.random(len(nbrs)) < p).tolist()))
         if not kept:
             failures += 1
             if failures > budget:
@@ -302,11 +307,11 @@ def generate_dd(params, seed):
                     f"duplication-divergence exceeded {budget} failed attempts (p={p})"
                 )
             continue
-        replica = builder.add_node()
+        replica = len(adj)
         for u in kept:
-            builder.add_edge(replica, u)
-        current += 1
-    return builder.build()
+            adj[u].append(replica)
+        adj.append(kept)
+    return Graph(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -343,42 +348,52 @@ def generate_community(params, seed):
     sizes = params.sizes
     n = params.n
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder(n)
-    offsets = []
-    acc = 0
-    for s in sizes:
-        offsets.append(acc)
-        acc += s
+    offsets = list(accumulate(sizes, initial=0))
+    empty = np.zeros(0, dtype=np.int64)
+    lows, highs = [empty], [empty]  # edge endpoints, low id < high id
     for gi, s in enumerate(sizes):
-        base = offsets[gi]
         pairs_total = s * (s - 1) // 2
         if pairs_total == 0 or params.p_in == 0.0:
             continue
         count = int(rng.binomial(pairs_total, params.p_in))
-        for cell in _sample_distinct(rng, pairs_total, count):
-            u, v = _triangular_unrank(int(cell), s)
-            builder.add_edge(base + u, base + v)
+        u, v = _triangular_unrank(_sample_distinct(rng, pairs_total, count), s)
+        lows.append(offsets[gi] + u)
+        highs.append(offsets[gi] + v)
     for gi in range(len(sizes)):
         for gj in range(gi + 1, len(sizes)):
             cells_total = sizes[gi] * sizes[gj]
             if params.p_out == 0.0:
                 continue
             count = int(rng.binomial(cells_total, params.p_out))
-            for cell in _sample_distinct(rng, cells_total, count):
-                u, v = divmod(int(cell), sizes[gj])
-                builder.add_edge(offsets[gi] + u, offsets[gj] + v)
-    return builder.build()
+            u, v = np.divmod(_sample_distinct(rng, cells_total, count), sizes[gj])
+            lows.append(offsets[gi] + u)
+            highs.append(offsets[gj] + v)
+    # the cells are distinct, so each edge appears once; sorting both
+    # orientations by (src, dst) yields every row sorted
+    src = np.concatenate(lows + highs)
+    dst = np.concatenate(highs + lows)
+    flat = dst[np.lexsort((dst, src))].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return Graph([flat[a:b] for a, b in zip([0] + ends[:-1], ends)])
 
 
-def _triangular_unrank(cell, s):
-    """cell index in [0, C(s,2)) -> pair (u, v) with u < v, row-major."""
-    u = 0
-    row = s - 1
-    while cell >= row:
-        cell -= row
-        u += 1
-        row -= 1
-    return u, u + 1 + cell
+def _triangular_unrank(cells, s):
+    """cell indices in [0, C(s,2)) -> arrays (u, v) with u < v, row-major.
+
+    Row u starts at cell u*(2s-u-1)/2. The float root of that quadratic
+    gives u to within one; exact integer comparisons then correct it.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    b = 2 * s - 1
+    u = ((b - np.sqrt(b * b - 8.0 * cells)) // 2).astype(np.int64)
+    u -= _row_start(u, s) > cells
+    u += _row_start(u + 1, s) <= cells
+    return u, u + 1 + cells - _row_start(u, s)
+
+
+def _row_start(u, s):
+    """First cell index of row u in the row-major upper triangle of size s."""
+    return u * (2 * s - u - 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ class CorrelationMatrix:
     def to_csv_text(self):
         lines = ["," + ",".join(METRIC_FIELDS)]
         for name, row in zip(METRIC_FIELDS, self.matrix):
-            lines.append(name + "," + ",".join(repr(v) for v in row))
+            lines.append(name + "," + ",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
 
 

@@ -2,14 +2,17 @@
 
 Every other module works on the :class:`Graph` defined here: a simple
 (no self-loops, no parallel edges), undirected, unweighted graph with
-nodes densely numbered ``0..n-1``. Graphs are immutable once built;
-generators and parsers go through :class:`GraphBuilder`.
+nodes densely numbered ``0..n-1``. Graphs are immutable once built.
+Code that adds edges in arbitrary order goes through :class:`GraphBuilder`;
+generators that can emit sorted rows directly pass them to :class:`Graph`,
+which checks every row either way.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -75,7 +78,8 @@ class Graph:
     """Immutable simple undirected graph over nodes ``0..n-1``.
 
     ``adjacency`` is a tuple of sorted neighbor tuples; symmetry and
-    simplicity are enforced at construction. ``labels`` keeps the
+    simplicity are enforced at construction by numpy checks over the
+    concatenated rows, O(m log m) for m edges. ``labels`` keeps the
     original node tokens for round-trip serialization (defaults to the
     decimal ids). Instances are safe to share across threads.
     """
@@ -85,24 +89,7 @@ class Graph:
     def __init__(self, adjacency, labels=None):
         adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
         n = len(adjacency)
-        total = 0
-        for u, nbrs in enumerate(adjacency):
-            prev = -1
-            for v in nbrs:
-                if v == u:
-                    raise ValueError(f"self-loop at node {u}")
-                if v <= prev:
-                    raise ValueError(f"adjacency of node {u} not sorted/unique")
-                if not 0 <= v < n:
-                    raise ValueError(f"neighbor {v} of node {u} out of range")
-                prev = v
-            total += len(nbrs)
-        for u, nbrs in enumerate(adjacency):
-            for v in nbrs:
-                if u not in adjacency[v]:
-                    raise ValueError(f"edge {u}-{v} not symmetric")
-        if total % 2:
-            raise ValueError("odd total degree")
+        total = _check_adjacency(adjacency)
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         else:
@@ -175,6 +162,50 @@ class Graph:
             pair = (src, dst)
             self._cache["ends"] = pair
         return pair
+
+
+def _check_adjacency(adjacency):
+    """Total degree of a valid adjacency; ValueError naming the first fault.
+
+    Each row must be strictly increasing, in range and free of its own
+    node, and every u-v entry needs its v-u partner. Rows are scanned in
+    node order, so the error names the same node or edge a per-entry
+    loop would meet first.
+    """
+    n = len(adjacency)
+    deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+    total = int(deg.sum())
+    dst = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=total)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    # prev: the entry before in the same row, -1 at a row start
+    prev = np.empty_like(dst)
+    prev[1:] = dst[:-1]
+    prev[(np.cumsum(deg) - deg)[deg > 0]] = -1
+    self_loop = dst == src
+    out_of_range = (dst < 0) | (dst >= n)
+    bad = self_loop | out_of_range | (dst <= prev)
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v = int(src[i]), int(dst[i])
+        if self_loop[i]:
+            raise ValueError(f"self-loop at node {u}")
+        if out_of_range[i]:
+            raise ValueError(f"neighbor {v} of node {u} out of range")
+        raise ValueError(f"adjacency of node {u} not sorted/unique")
+    del prev, self_loop, out_of_range, bad
+    # rows sorted and in range: key is strictly increasing, and the graph
+    # is symmetric iff the reversed keys are a permutation of it
+    key = src * n + dst
+    rev = dst * n + src
+    rev.sort()
+    if not np.array_equal(key, rev):
+        rev = dst * n + src
+        pos = np.minimum(np.searchsorted(key, rev), total - 1)
+        i = int(np.argmax(key[pos] != rev))
+        raise ValueError(f"edge {int(src[i])}-{int(dst[i])} not symmetric")
+    if total % 2:
+        raise ValueError("odd total degree")
+    return total
 
 
 def parse_edge_list(text):

@@ -123,6 +123,66 @@ def oracle_jdm_entries(g):
 
 
 # ---------------------------------------------------------------------------
+# Reference generators: the per-edge builder versions the library replaced
+
+
+def reference_generate_dd(params, seed):
+    """Duplication-divergence through a set-based builder, one coin per call."""
+    n, p = params.n, params.p
+    rng = np.random.default_rng(seed)
+    builder = GraphBuilder(2)
+    builder.add_edge(0, 1)
+    while builder.node_count < n:
+        v = int(rng.integers(builder.node_count))
+        kept = [u for u in sorted(builder.neighbors(v)) if rng.random() < p]
+        if not kept:
+            continue
+        replica = builder.add_node()
+        for u in kept:
+            builder.add_edge(replica, u)
+    return builder.build()
+
+
+def reference_triangular_unrank(cell, s):
+    """One cell index in [0, C(s,2)) -> (u, v), u < v, by walking the rows."""
+    u = 0
+    row = s - 1
+    while cell >= row:
+        cell -= row
+        u += 1
+        row -= 1
+    return u, u + 1 + cell
+
+
+def reference_generate_community(params, seed):
+    """Planted partition placing one sampled cell at a time into a builder."""
+    from netfit.generators import _sample_distinct
+
+    sizes = params.sizes
+    rng = np.random.default_rng(seed)
+    builder = GraphBuilder(params.n)
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    for gi, s in enumerate(sizes):
+        pairs_total = s * (s - 1) // 2
+        if pairs_total == 0 or params.p_in == 0.0:
+            continue
+        count = int(rng.binomial(pairs_total, params.p_in))
+        for cell in _sample_distinct(rng, pairs_total, count):
+            u, v = reference_triangular_unrank(int(cell), s)
+            builder.add_edge(offsets[gi] + u, offsets[gi] + v)
+    for gi in range(len(sizes)):
+        for gj in range(gi + 1, len(sizes)):
+            if params.p_out == 0.0:
+                continue
+            cells_total = sizes[gi] * sizes[gj]
+            count = int(rng.binomial(cells_total, params.p_out))
+            for cell in _sample_distinct(rng, cells_total, count):
+                u, v = divmod(int(cell), sizes[gj])
+                builder.add_edge(offsets[gi] + u, offsets[gj] + v)
+    return builder.build()
+
+
+# ---------------------------------------------------------------------------
 # Partition / modularity brute force
 
 

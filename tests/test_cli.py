@@ -137,6 +137,26 @@ class TestPipeline:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("food_00,food_00.txt,bio", "manifest {path}:3: unknown domain 'bio'"),
+            ("food_00,food_00.txt", "manifest {path}:3: expected 3 fields"),
+        ],
+        ids=["unknown-domain", "two-fields"],
+    )
+    def test_bad_manifest_row_fails_before_any_fit(self, tmp_path, capsys, row, message):
+        corpus = corpus_manifest().parent
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"name,path,domain\nchems_04,{corpus / 'chems_04.txt'},chems\n{row}\n")
+        out = tmp_path / "out"
+        code = main(["pipeline", str(manifest), "--out", str(out), "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=manifest))
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "fits").exists() and not (out / "graphs").exists()
+
 
 class TestDownstreamCommands:
     @pytest.fixture
@@ -201,6 +221,16 @@ class TestConfigFile:
         cfg.write_text(f"out = {out_csv}\n")
         assert main(["--config", str(cfg), "measure", str(src)]) == 0
         assert out_csv.exists()
+
+    def test_non_integer_seed_exits_2_naming_line(self, tmp_path, capsys):
+        src = tmp_path / "tri.txt"
+        src.write_text(TRIANGLE)
+        cfg = tmp_path / "netfit.cfg"
+        cfg.write_text("# defaults\nseed = x\n")
+        assert main(["--config", str(cfg), "fit", str(src), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config {cfg}:2: seed must be an integer\n"
+        assert not (tmp_path / "f").exists()
 
 
 class TestEntropySeed:

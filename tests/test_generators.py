@@ -8,6 +8,7 @@ from netfit.generators import (
     ParameterError,
     TwoKParams,
     WSParams,
+    _triangular_unrank,
     generate,
     generate_2k,
     generate_cba,
@@ -22,7 +23,13 @@ from netfit.graph import connected_components, degree_sequence
 from netfit.jdm import JointDegreeMatrix
 from netfit.metrics import average_clustering, density, joint_degree_matrix
 
-from helpers import graph_from_edges, pseudo_real_graph
+from helpers import (
+    graph_from_edges,
+    pseudo_real_graph,
+    reference_generate_community,
+    reference_generate_dd,
+    reference_triangular_unrank,
+)
 
 
 def count_triangles(g):
@@ -138,6 +145,14 @@ class TestDuplicationDivergence:
         with pytest.raises(ParameterError):
             generate_dd(DDParams(n, p), 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 57, 300])
+    @pytest.mark.parametrize("p", [0.02, 0.5, 1.0])
+    def test_matches_set_based_reference(self, n, p):
+        for seed in (0, 1, 17, 2024):
+            params = DDParams(n, p)
+            assert generate_dd(params, seed).adjacency == \
+                reference_generate_dd(params, seed).adjacency
+
 
 class TestCommunity:
     def test_two_disjoint_triangles(self):
@@ -170,6 +185,47 @@ class TestCommunity:
     def test_invalid_params(self, sizes, p_in, p_out):
         with pytest.raises(ParameterError):
             generate_community(CommunityParams(sizes, p_in, p_out), 0)
+
+    @pytest.mark.parametrize(
+        "sizes,p_in,p_out",
+        [
+            ((1,), 0.5, 0.5),
+            ((1, 1, 1), 1.0, 1.0),
+            ((3, 1, 4), 0.0, 1.0),
+            ((3, 1, 4), 1.0, 0.0),
+            ((10, 20, 5), 0.3, 0.05),
+            ((50, 50), 0.2, 0.01),
+            ((200, 7, 1), 0.05, 1.0),
+        ],
+    )
+    def test_matches_per_cell_reference(self, sizes, p_in, p_out):
+        params = CommunityParams(sizes, p_in, p_out)
+        for seed in (0, 5, 99):
+            assert generate_community(params, seed).adjacency == \
+                reference_generate_community(params, seed).adjacency
+
+
+class TestTriangularUnrank:
+    def test_every_cell_matches_row_major_walk(self):
+        for s in range(2, 61):
+            cells = np.arange(s * (s - 1) // 2)
+            u, v = _triangular_unrank(cells, s)
+            expected = [reference_triangular_unrank(int(c), s) for c in cells]
+            assert list(zip(u.tolist(), v.tolist())) == expected
+
+    def test_first_last_and_row_boundaries_at_large_s(self):
+        s = 10**5
+        total = s * (s - 1) // 2
+        u, v = _triangular_unrank(np.array([0, total - 1]), s)
+        assert (int(u[0]), int(v[0])) == reference_triangular_unrank(0, s) == (0, 1)
+        assert (int(u[1]), int(v[1])) == reference_triangular_unrank(total - 1, s) == (s - 2, s - 1)
+        rows = np.arange(s - 1)
+        lengths = s - 1 - rows
+        starts = np.cumsum(lengths) - lengths
+        u, v = _triangular_unrank(starts, s)
+        assert (u == rows).all() and (v == rows + 1).all()
+        u, v = _triangular_unrank(starts + lengths - 1, s)
+        assert (u == rows).all() and (v == s - 1).all()
 
 
 class TestValidateJdm:

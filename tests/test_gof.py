@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netfit.cli import main
 from netfit.dataset import DatasetError, DatasetRow, DatasetTable
 from netfit.gof import (
     canberra_distance,
@@ -191,6 +194,21 @@ class TestCorrelationMatrix:
         b = correlation_matrix(table_from_vectors(vectors[::-1]))
         for i in range(7):
             assert a.matrix[i] == pytest.approx(b.matrix[i])
+
+    def test_gof_correlation_csv_reads_back_as_floats(self, tmp_path):
+        rng = np.random.default_rng(11)
+        vectors = rng.uniform(0, 1, size=(4, 7)).tolist()
+        table = table_from_vectors(vectors, domain="food")
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_text(table.to_csv_text())
+        assert main(["gof", str(dataset), "--out", str(tmp_path / "gof")]) == 0
+        with open(tmp_path / "gof" / "correlation_food.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [""] + list(METRIC_FIELDS)
+        corr = correlation_matrix(table)
+        for i, row in enumerate(rows[1:]):
+            assert row[0] == METRIC_FIELDS[i]
+            assert [float(cell) for cell in row[1:]] == list(corr.matrix[i])
 
 
 class TestPca:

@@ -66,13 +66,28 @@ class TestParseEdgeList:
 
 
 class TestGraphInvariants:
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            Graph(((0,), (1,)))
+    @pytest.mark.parametrize(
+        "adjacency,message",
+        [
+            (((1,), (0,), (2,)), "self-loop at node 2"),
+            (((2, 1), (0,), (0,)), "adjacency of node 0 not sorted/unique"),
+            (((1,), (0, 2, 2), (1,)), "adjacency of node 1 not sorted/unique"),
+            (((1,), (0, 4), (), ()), "neighbor 4 of node 1 out of range"),
+            (((1,), (-1, 0)), "neighbor -1 of node 1 out of range"),
+            (((1, 2), (0,), ()), "edge 0-2 not symmetric"),
+            (((1,), (0,), (), (0,)), "edge 3-0 not symmetric"),
+        ],
+        ids=["self-loop", "unsorted", "duplicate", "out-of-range", "negative", "asymmetric",
+             "asymmetric-reverse"],
+    )
+    def test_rejects_invalid_adjacency(self, adjacency, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(adjacency)
 
-    def test_rejects_asymmetry(self):
-        with pytest.raises(ValueError):
-            Graph(((1,), ()))
+    def test_first_fault_in_node_order_is_named(self):
+        # node 1 has a self-loop and node 3 is out of range; node 1 comes first
+        with pytest.raises(ValueError, match="self-loop at node 1"):
+            Graph(((), (1,), (), (9,)))
 
     def test_immutable(self):
         g = graph_from_edges(2, [(0, 1)])
