@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
+from .fitting import MODELS
 
 FEATURE_FIELDS = (
     "assort",
@@ -185,6 +186,7 @@ class TreeModel:
     root: TreeNode
     n_classes: int
     config: TreeConfig
+    n_features: int
 
     def _leaf(self, row):
         node = self.root
@@ -207,7 +209,8 @@ class TreeModel:
         return np.array(out)
 
     def split_feature_counts(self):
-        counts = [0] * max(1, self._max_feature() + 1)
+        """Number of splits on each feature column, length ``n_features``."""
+        counts = [0] * self.n_features
 
         def walk(node):
             if node.is_leaf:
@@ -219,20 +222,6 @@ class TreeModel:
         walk(self.root)
         return tuple(counts)
 
-    def _max_feature(self):
-        best = 0
-
-        def walk(node):
-            nonlocal best
-            if node.is_leaf:
-                return
-            best = max(best, node.feature)
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root)
-        return best
-
 
 def train_tree(dataset, config=None, seed=0):
     """Greedy CART on the full dataset (deterministic unless subsampling)."""
@@ -243,7 +232,8 @@ def train_tree(dataset, config=None, seed=0):
     root = _grow_tree(
         dataset.features, dataset.labels, len(dataset.class_names), config, 0, rng
     )
-    return TreeModel(root=root, n_classes=len(dataset.class_names), config=config)
+    return TreeModel(root=root, n_classes=len(dataset.class_names), config=config,
+                     n_features=dataset.features.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +272,7 @@ class ForestModel:
         return votes[:, positive] / len(self.trees)
 
     def split_feature_counts(self):
-        total = None
-        for tree in self.trees:
-            counts = tree.split_feature_counts()
-            if total is None:
-                total = list(counts)
-            else:
-                for i, c in enumerate(counts):
-                    if i >= len(total):
-                        total.append(0)
-                    total[i] += c
-        return tuple(total or ())
+        return tuple(map(sum, zip(*(tree.split_feature_counts() for tree in self.trees))))
 
 
 def train_forest(dataset, config=None, seed=0):
@@ -300,6 +280,8 @@ def train_forest(dataset, config=None, seed=0):
     if len(dataset) < 2:
         raise ValueError("forest training needs at least 2 samples")
     config = config or ForestConfig()
+    if config.trees < 1:
+        raise ValueError("a forest needs at least one tree")
     d = dataset.features.shape[1]
     per_split = config.features_per_split
     if per_split is None:
@@ -321,7 +303,8 @@ def train_forest(dataset, config=None, seed=0):
             0,
             rng,
         )
-        trees.append(TreeModel(root=root, n_classes=len(dataset.class_names), config=tree_config))
+        trees.append(TreeModel(root=root, n_classes=len(dataset.class_names), config=tree_config,
+                               n_features=d))
     return ForestModel(
         trees=tuple(trees), n_classes=len(dataset.class_names), config=config, seed=seed
     )
@@ -422,8 +405,8 @@ def _task_table(table, task, domain):
     if task in ("category", "subcategory"):
         if domain is None:
             raise ValueError(f"{task} task runs one domain at a time; pass domain=")
-        # WS_STD rows excluded: only the clustering-fitted WS variant competes
-        return table.filter(domain=domain, exclude_subcategories=("WS_STD",)), task
+        excluded = tuple(spec.name for spec in MODELS if not spec.competes)
+        return table.filter(domain=domain, exclude_subcategories=excluded), task
     raise ValueError(f"unknown task {task!r}")
 
 
@@ -453,7 +436,7 @@ def run_task(table, task, model="forest", k=5, seed=0, domain=None, forest_confi
     pooled_pred = np.zeros(n, dtype=np.int64)
     pooled_score = np.zeros(n, dtype=float)
     fold_accs = []
-    split_counts = None
+    split_counts = [0] * data.features.shape[1]
     for i, test_idx in enumerate(folds):
         train_mask = np.ones(n, dtype=bool)
         train_mask[test_idx] = False
@@ -472,12 +455,7 @@ def run_task(table, task, model="forest", k=5, seed=0, domain=None, forest_confi
         if binary:
             pooled_score[test_idx] = clf.score(data.features[test_idx], positive=positive)
         fold_accs.append(float(np.mean(preds == data.labels[test_idx])))
-        counts_i = clf.split_feature_counts()
-        if split_counts is None:
-            split_counts = list(counts_i) + [0] * (len(FEATURE_FIELDS) - len(counts_i))
-        else:
-            for j, c in enumerate(counts_i):
-                split_counts[j] += c
+        split_counts = [a + b for a, b in zip(split_counts, clf.split_feature_counts())]
     conf = confusion_matrix(pooled_pred, data.labels, len(data.class_names))
     auc = roc_auc(pooled_score, (data.labels == positive).astype(int)) if binary else None
     if model == "forest":
@@ -509,5 +487,5 @@ def run_task(table, task, model="forest", k=5, seed=0, domain=None, forest_confi
         auc=auc,
         hyperparameters=hyper,
         seed=seed,
-        feature_split_counts=tuple(split_counts or ()),
+        feature_split_counts=tuple(split_counts),
     )

@@ -14,25 +14,23 @@ import json
 import secrets
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 from . import seeds
 from .dataset import DOMAINS, DatasetError, DatasetRow, DatasetTable, write_feature_csv
-from .fitting import DEFAULT_BUDGET, DEFAULT_REPLICATES, fit_model
-from .generators import MODEL_NAMES, generate, params_from_json_obj
+from .fitting import DEFAULT_BUDGET, DEFAULT_REPLICATES, MODELS, fit_model, params_from_json_obj
+from .generators import generate
 from .gof import correlation_matrix, mean_distance_matrix, pca_project
 from .graph import EdgeListError, load_edge_list, save_edge_list, serialize_edge_list
 from .metrics import feature_vector
 from .stability import stability_run
 
-PIPELINE_MODELS = ("WS", "WS_STD", "CBA", "DD", "Com", "2K")
-STABILITY_MODELS = ("WS", "CBA", "DD", "Com", "2K")
-
 _UNSET = object()  # distinguishes "flag not given" from an explicit value
 
 
 class InputError(ValueError):
-    """Malformed manifest or config file; the message names file and line."""
+    """Malformed manifest, config or params file; the message names the file."""
 
 
 def _read_config(path):
@@ -70,6 +68,16 @@ def _write(path, text):
         fh.write(text)
 
 
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _fit(g, name, model, master_seed, budget, fit_replicates):
+    """Fit ``model`` to graph ``name`` with the seed every command derives for it."""
+    return fit_model(g, model, budget=budget, replicates=fit_replicates,
+                     seed=seeds.derive(master_seed, name, model, "fit"))
+
+
 # ---------------------------------------------------------------------------
 # measure
 
@@ -83,7 +91,8 @@ def cmd_measure(args):
             rows.append((Path(path).stem, feature_vector(g)))
         except (OSError, ValueError) as exc:
             failures += 1
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            named = isinstance(exc, (EdgeListError, OSError))  # these name the file
+            print(f"error: {exc}" if named else f"error: {path}: {exc}", file=sys.stderr)
     text = write_feature_csv(rows)
     if args.out:
         _write(Path(args.out), text)
@@ -100,36 +109,30 @@ def cmd_fit(args):
     seed = _resolve_seed(args)
     g = load_edge_list(args.path)
     name = Path(args.path).stem
-    models = PIPELINE_MODELS if args.model == "all" else (args.model,)
+    models = [spec.name for spec in MODELS] if args.model == "all" else [args.model]
     out_dir = Path(args.out)
     failures = 0
     for model in models:
         try:
-            report = fit_model(
-                g,
-                model,
-                budget=args.budget,
-                replicates=args.fit_replicates,
-                seed=seeds.derive(seed, name, model, "fit"),
-            )
+            report = _fit(g, name, model, seed, args.budget, args.fit_replicates)
         except (ValueError, RuntimeError) as exc:
             failures += 1
             print(f"error: {model}: {exc}", file=sys.stderr)
             continue
-        payload = json.dumps(report.to_json_obj(), indent=2, sort_keys=True)
-        _write(out_dir / f"{name}_{model}.json", payload + "\n")
+        _write(out_dir / f"{name}_{model}.json", _json_text(report.to_json_obj()))
         print(f"{model}: objective {report.objective_value!r} ({report.evaluations} evaluations)")
     return 1 if failures else 0
 
 
 def cmd_generate(args):
-    with open(args.params, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    model, params, file_seed = params_from_json_obj(obj)
-    seed = args.seed if args.seed is not None else file_seed
-    if seed is None:
-        seed = secrets.randbits(48)
-        print(f"seed: {seed} (chosen from entropy; pass --seed to reproduce)")
+    try:
+        with open(args.params, "r", encoding="utf-8") as fh:
+            model, params, file_seed = params_from_json_obj(json.load(fh))
+    except ValueError as exc:
+        raise InputError(f"params {args.params}: {exc}") from None
+    if args.seed is None:
+        args.seed = file_seed
+    seed = _resolve_seed(args)
     g = generate(params, seed)
     if args.out:
         save_edge_list(g, args.out)
@@ -187,23 +190,15 @@ def _pipeline_one(entry, master_seed, budget, fit_replicates):
     failures = []
     try:
         g = load_edge_list(path)
-        rows.append((name, feature_vector(g), domain, "real", "Real"))
+        rows.append(DatasetRow(name, feature_vector(g), domain, "real", "Real"))
     except (OSError, ValueError) as exc:
         return [], {}, [f"{name}: {exc}"]
-    for model in PIPELINE_MODELS:
+    for model in (spec.name for spec in MODELS):
         try:
-            report = fit_model(
-                g,
-                model,
-                budget=budget,
-                replicates=fit_replicates,
-                seed=seeds.derive(master_seed, name, model, "fit"),
-            )
+            report = _fit(g, name, model, master_seed, budget, fit_replicates)
             counterpart = generate(report.params, seeds.derive(master_seed, name, model, "gen"))
-            rows.append((name, feature_vector(counterpart), domain, "model", model))
-            artifacts[f"fits/{name}_{model}.json"] = (
-                json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
-            )
+            rows.append(DatasetRow(name, feature_vector(counterpart), domain, "model", model))
+            artifacts[f"fits/{name}_{model}.json"] = _json_text(report.to_json_obj())
             artifacts[f"graphs/{name}_{model}.txt"] = serialize_edge_list(counterpart)
         except (ValueError, RuntimeError) as exc:
             failures.append(f"{name}/{model}: {exc}")
@@ -215,27 +210,16 @@ def cmd_pipeline(args):
     entries = _read_manifest(args.manifest)
     out_dir = Path(args.out)
     jobs = max(1, args.jobs)
-    results = []
+    work = (entries, repeat(seed), repeat(args.budget), repeat(args.fit_replicates))
     if jobs == 1 or len(entries) <= 1:
-        for entry in entries:
-            results.append(_pipeline_one(entry, seed, args.budget, args.fit_replicates))
+        results = list(map(_pipeline_one, *work))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_pipeline_one, entry, seed, args.budget, args.fit_replicates)
-                for entry in entries
-            ]
-            results = [f.result() for f in futures]
+            results = list(pool.map(_pipeline_one, *work))
     all_rows = []
     all_failures = []
     for rows, artifacts, failures in results:
-        for name, fv, domain, category, subcategory in rows:
-            all_rows.append(
-                DatasetRow(
-                    name=name, features=fv, domain=domain, category=category,
-                    subcategory=subcategory,
-                )
-            )
+        all_rows.extend(rows)
         for rel, text in sorted(artifacts.items()):
             _write(out_dir / rel, text)
         all_failures.extend(failures)
@@ -279,17 +263,11 @@ def cmd_stability(args):
     seed = _resolve_seed(args)
     g = load_edge_list(args.path)
     name = Path(args.path).stem
-    fits = []
-    for model in STABILITY_MODELS:
-        fits.append(
-            fit_model(
-                g,
-                model,
-                budget=args.budget,
-                replicates=args.fit_replicates,
-                seed=seeds.derive(seed, name, model, "fit"),
-            )
-        )
+    fits = [
+        _fit(g, name, spec.name, seed, args.budget, args.fit_replicates)
+        for spec in MODELS
+        if spec.competes
+    ]
     summary = stability_run(g, fits, replicates=args.replicates,
                             seed=seeds.derive(seed, name, "stability"))
     out_dir = Path(args.out)
@@ -316,8 +294,7 @@ def cmd_classify(args):
     for report in reports:
         suffix = f"_{report.domain}" if report.domain else ""
         stem = f"eval_{report.task}_{report.model}{suffix}"
-        _write(out_dir / f"{stem}.json",
-               json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n")
+        _write(out_dir / f"{stem}.json", _json_text(report.to_json_obj()))
         lines = [",".join([""] + list(report.class_names))]
         for cname, row in zip(report.class_names, report.confusion):
             lines.append(",".join([cname] + [str(v) for v in row]))
@@ -367,7 +344,7 @@ def build_parser():
     p = new_command("fit", cmd_fit, "fit models to one graph, write JSON reports",
                     needs_out=True)
     p.add_argument("path")
-    opt(p, "--model", "all", choices=("all",) + MODEL_NAMES)
+    opt(p, "--model", "all", choices=["all"] + [spec.name for spec in MODELS])
     opt(p, "--budget", DEFAULT_BUDGET, type=int)
     opt(p, "--fit-replicates", DEFAULT_REPLICATES, type=int)
     opt(p, "--seed", None, type=int)

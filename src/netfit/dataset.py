@@ -14,11 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fitting import MODELS
 from .metrics import CSV_HEADER, METRIC_FIELDS, FeatureVector
 
 DOMAINS = ("social", "food", "brain", "chems")
 CATEGORIES = ("real", "model")
-SUBCATEGORIES = ("Real", "2K", "CBA", "WS", "WS_STD", "DD", "Com")
+# Report order, the columns of distance_<domain>.csv: the real graphs,
+# then 2K and CBA, then the other models in pipeline order.
+SUBCATEGORIES = ("Real", "2K", "CBA") + tuple(
+    spec.name for spec in MODELS if spec.name not in ("2K", "CBA")
+)
 
 
 class DatasetError(ValueError):
@@ -34,6 +39,48 @@ class DatasetRow:
     subcategory: str
 
 
+def _check_row(row, seen):
+    """DatasetError if ``row`` is malformed or its key is in ``seen``; adds the key."""
+    if row.domain not in DOMAINS:
+        raise DatasetError(f"unknown domain {row.domain!r} for {row.name!r}")
+    if row.category not in CATEGORIES:
+        raise DatasetError(f"unknown category {row.category!r} for {row.name!r}")
+    if row.subcategory not in SUBCATEGORIES:
+        raise DatasetError(f"unknown subcategory {row.subcategory!r} for {row.name!r}")
+    if (row.category == "real") != (row.subcategory == "Real"):
+        raise DatasetError(f"category/subcategory mismatch for {row.name!r}")
+    key = (row.name, row.subcategory)
+    if key in seen:
+        raise DatasetError(f"duplicate row {key}")
+    seen.add(key)
+    for field_name in METRIC_FIELDS:
+        if not math.isfinite(getattr(row.features, field_name)):
+            raise DatasetError(f"non-finite {field_name} for {row.name!r}")
+
+
+def _cell(record, i, kind):
+    """Column i of a CSV record as ``kind`` (int or float)."""
+    try:
+        return kind(record[i])
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise DatasetError(f"{CSV_HEADER[i]} must be {expected}, got {record[i]!r}") from None
+
+
+def _feature_cells(name, fv):
+    """The name and feature columns of one CSV row, floats written exactly."""
+    return [name, fv.size] + [repr(getattr(fv, f)) for f in METRIC_FIELDS]
+
+
+def csv_text(header, rows):
+    """CSV text of ``header`` and then ``rows``; every line ends in a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class DatasetTable:
     rows: tuple
@@ -42,21 +89,7 @@ class DatasetTable:
         object.__setattr__(self, "rows", tuple(self.rows))
         seen = set()
         for row in self.rows:
-            if row.domain not in DOMAINS:
-                raise DatasetError(f"unknown domain {row.domain!r} for {row.name!r}")
-            if row.category not in CATEGORIES:
-                raise DatasetError(f"unknown category {row.category!r} for {row.name!r}")
-            if row.subcategory not in SUBCATEGORIES:
-                raise DatasetError(f"unknown subcategory {row.subcategory!r} for {row.name!r}")
-            if (row.category == "real") != (row.subcategory == "Real"):
-                raise DatasetError(f"category/subcategory mismatch for {row.name!r}")
-            key = (row.name, row.subcategory)
-            if key in seen:
-                raise DatasetError(f"duplicate row {key}")
-            seen.add(key)
-            for field_name in METRIC_FIELDS:
-                if not math.isfinite(getattr(row.features, field_name)):
-                    raise DatasetError(f"non-finite {field_name} for {row.name!r}")
+            _check_row(row, seen)
 
     def __len__(self):
         return len(self.rows)
@@ -82,73 +115,58 @@ class DatasetTable:
         return np.array([r.features.metric_values() for r in self.rows], dtype=float)
 
     def to_csv_text(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in self.rows:
-            fv = r.features
-            writer.writerow(
-                [r.name, fv.size]
-                + [repr(getattr(fv, f)) for f in METRIC_FIELDS]
-                + [r.domain, r.category, r.subcategory]
-            )
-        return buf.getvalue()
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
+        return csv_text(
+            CSV_HEADER,
+            (_feature_cells(r.name, r.features) + [r.domain, r.category, r.subcategory]
+             for r in self.rows),
+        )
 
     @classmethod
     def from_csv_text(cls, text):
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError("empty dataset CSV") from None
-        if tuple(header) != CSV_HEADER:
-            missing = [c for c in CSV_HEADER if c not in header]
-            raise DatasetError(f"dataset CSV header mismatch; missing columns: {missing}")
-        rows = []
-        for record in reader:
-            if not record:
-                continue
-            if len(record) != len(CSV_HEADER):
-                raise DatasetError(f"row has {len(record)} fields, expected {len(CSV_HEADER)}")
-            name = record[0]
-            fv = FeatureVector(
-                size=int(record[1]),
-                **{f: float(record[2 + i]) for i, f in enumerate(METRIC_FIELDS)},
-            )
-            rows.append(
-                DatasetRow(
-                    name=name,
-                    features=fv,
-                    domain=record[9],
-                    category=record[10],
-                    subcategory=record[11],
-                )
-            )
-        return cls(rows=tuple(rows))
+        return cls._read(io.StringIO(text), "dataset <text>")
 
     @classmethod
     def from_csv(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_csv_text(fh.read())
+            return cls._read(fh, f"dataset {path}")
+
+    @classmethod
+    def _read(cls, lines, source):
+        """Table from CSV lines; a DatasetError reads ``<source>:<line>: ...``."""
+        reader = csv.reader(lines)
+        rows = []
+        seen = set()
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError("empty file")
+            if tuple(header) != CSV_HEADER:
+                missing = [c for c in CSV_HEADER if c not in header]
+                raise DatasetError(f"header mismatch; missing columns: {missing}")
+            for record in reader:
+                if not record:
+                    continue
+                if len(record) != len(CSV_HEADER):
+                    raise DatasetError(
+                        f"row has {len(record)} fields, expected {len(CSV_HEADER)}"
+                    )
+                fv = FeatureVector(
+                    size=_cell(record, 1, int),
+                    **{f: _cell(record, 2 + i, float) for i, f in enumerate(METRIC_FIELDS)},
+                )
+                row = DatasetRow(record[0], fv, *record[9:])
+                _check_row(row, seen)
+                rows.append(row)
+        except (DatasetError, csv.Error) as exc:
+            raise DatasetError(f"{source}:{max(reader.line_num, 1)}: {exc}") from None
+        except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
+            raise DatasetError(f"{source}: {exc}") from None
+        return cls(rows=tuple(rows))
 
 
-def write_feature_csv(named_features, path=None):
-    """Feature-only CSV (no domain/category/subcategory columns).
+def write_feature_csv(named_features):
+    """Feature-only CSV text (no domain/category/subcategory columns).
 
-    ``named_features`` is a sequence of (name, FeatureVector); returns the
-    CSV text, and writes it to ``path`` when given.
+    ``named_features`` is a sequence of (name, FeatureVector).
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER[:9])
-    for name, fv in named_features:
-        writer.writerow([name, fv.size] + [repr(getattr(fv, f)) for f in METRIC_FIELDS])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return csv_text(CSV_HEADER[:9], (_feature_cells(name, fv) for name, fv in named_features))

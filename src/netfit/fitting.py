@@ -29,6 +29,7 @@ from .generators import (
     generate_cba,
     generate_dd,
     generate_ws,
+    json_key,
 )
 from .metrics import average_clustering, density, joint_degree_matrix
 
@@ -55,12 +56,9 @@ class FitReport:
     notes: tuple = ()
 
     def to_json_obj(self):
-        from .generators import params_to_json_obj
-
-        obj = params_to_json_obj(self.params, model="WS" if self.model == "WS_STD" else self.model)
         return {
             "model": self.model,
-            "params": obj["params"],
+            "params": self.params.to_json_obj(),
             "objective_value": self.objective_value,
             "evaluations": self.evaluations,
             "replicates_per_eval": self.replicates_per_eval,
@@ -445,21 +443,56 @@ def fit_2k(g):
     )
 
 
-FIT_FUNCTIONS = ("WS", "WS_STD", "CBA", "DD", "Com", "2K")
+# ---------------------------------------------------------------------------
+# Model registry
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A model: name, params type, ``fit(g, budget, replicates, seed)``, and
+    whether it competes in stability and the category/subcategory tasks."""
+
+    name: str
+    params_type: type
+    fit: object
+    competes: bool = True
+
+
+# Every model, in pipeline order (the row order of dataset.csv).
+MODELS = (
+    ModelSpec("WS", WSParams, lambda g, b, r, s: fit_ws(g, "clustering", b, r, s)),
+    ModelSpec("WS_STD", WSParams, lambda g, b, r, s: fit_ws(g, "degree_std", b, r, s),
+              competes=False),
+    ModelSpec("CBA", CBAParams, fit_cba),
+    ModelSpec("DD", DDParams, fit_dd),
+    ModelSpec("Com", CommunityParams, lambda g, b, r, s: fit_community(g, seed=s)),
+    ModelSpec("2K", TwoKParams, lambda g, b, r, s: fit_2k(g)),
+)
+_MODEL_BY_NAME = {spec.name: spec for spec in MODELS}
+
+
+def model_spec(name):
+    """The :data:`MODELS` entry called ``name``; ValueError if there is none."""
+    spec = _MODEL_BY_NAME.get(name) if isinstance(name, str) else None
+    if spec is None:
+        raise ValueError(f"unknown model {name!r}")
+    return spec
 
 
 def fit_model(g, model, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
-    """Fit one model by name; see :data:`FIT_FUNCTIONS` for valid names."""
-    if model == "WS":
-        return fit_ws(g, "clustering", budget=budget, replicates=replicates, seed=seed)
-    if model == "WS_STD":
-        return fit_ws(g, "degree_std", budget=budget, replicates=replicates, seed=seed)
-    if model == "CBA":
-        return fit_cba(g, budget=budget, replicates=replicates, seed=seed)
-    if model == "DD":
-        return fit_dd(g, budget=budget, replicates=replicates, seed=seed)
-    if model == "Com":
-        return fit_community(g, seed=seed)
-    if model == "2K":
-        return fit_2k(g)
-    raise ValueError(f"unknown model {model!r}")
+    """Fit one model by name; see :data:`MODELS` for valid names."""
+    return model_spec(model).fit(g, budget, replicates, seed)
+
+
+def params_from_json_obj(obj):
+    """(model, validated params, seed or None) from a fit report's JSON object.
+
+    Any malformed part raises a ValueError that says what is wrong.
+    """
+    spec = model_spec(json_key(obj, "model"))
+    params = spec.params_type.from_json_obj(json_key(obj, "params"))
+    params.validate()
+    seed = obj.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return spec.name, params, seed

@@ -12,7 +12,7 @@ deterministic for a given (params, seed) pair. Randomness comes from
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, compress
 
 import numpy as np
@@ -34,11 +34,42 @@ class GenerationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Parameter types
+# Parameter types and their JSON codecs
+
+
+def json_key(raw, key):
+    """raw[key]; ParameterError when raw is not an object holding key."""
+    if not isinstance(raw, dict) or key not in raw:
+        raise ParameterError(f"missing key {key!r}")
+    return raw[key]
+
+
+def _json_number(raw, key, kind):
+    """raw[key] as ``kind`` (int or float); refuses bools, strings and, for int, floats."""
+    value = json_key(raw, key)
+    if type(value) not in ((int,) if kind is int else (int, float)):
+        expected = "an integer" if kind is int else "a number"
+        raise ParameterError(f"{key} must be {expected}, got {value!r}")
+    return kind(value)
+
+
+class _FieldwiseJson:
+    """JSON codec of a params type whose fields are all plain numbers."""
+
+    def to_json_obj(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_json_obj(cls, raw):
+        # field types are strings here (from __future__ import annotations)
+        return cls(**{
+            f.name: _json_number(raw, f.name, int if f.type in ("int", int) else float)
+            for f in fields(cls)
+        })
 
 
 @dataclass(frozen=True)
-class WSParams:
+class WSParams(_FieldwiseJson):
     n: int
     K: int
     p: float
@@ -51,7 +82,7 @@ class WSParams:
 
 
 @dataclass(frozen=True)
-class CBAParams:
+class CBAParams(_FieldwiseJson):
     n: int
     m: int
     p: float
@@ -64,7 +95,7 @@ class CBAParams:
 
 
 @dataclass(frozen=True)
-class DDParams:
+class DDParams(_FieldwiseJson):
     n: int
     p: float
 
@@ -95,6 +126,16 @@ class CommunityParams:
             if not 0.0 <= value <= 1.0:
                 raise ParameterError(f"{name} out of [0,1]: {value}")
 
+    def to_json_obj(self):
+        return {"sizes": list(self.sizes), "p_in": self.p_in, "p_out": self.p_out}
+
+    @classmethod
+    def from_json_obj(cls, raw):
+        sizes = json_key(raw, "sizes")
+        if not isinstance(sizes, list) or any(type(s) is not int for s in sizes):
+            raise ParameterError("sizes must be a list of integers")
+        return cls(sizes, _json_number(raw, "p_in", float), _json_number(raw, "p_out", float))
+
 
 @dataclass(frozen=True)
 class TwoKParams:
@@ -105,63 +146,12 @@ class TwoKParams:
         if not report.valid:
             raise ParameterError("invalid joint degree matrix: " + "; ".join(report.violations))
 
+    def to_json_obj(self):
+        return {"jdm": self.jdm.to_json_obj()}
 
-MODEL_NAMES = ("WS", "WS_STD", "CBA", "DD", "Com", "2K")
-
-_PARAM_TYPES = {
-    "WS": WSParams,
-    "WS_STD": WSParams,
-    "CBA": CBAParams,
-    "DD": DDParams,
-    "Com": CommunityParams,
-    "2K": TwoKParams,
-}
-
-
-def params_to_json_obj(params, model=None, seed=None):
-    """JSON object {model, params, seed} for a ModelParams value."""
-    if model is None:
-        model = next(name for name, t in _PARAM_TYPES.items() if type(params) is t)
-    obj = {"model": model}
-    if isinstance(params, TwoKParams):
-        obj["params"] = {"jdm": params.jdm.to_json_obj()}
-    elif isinstance(params, CommunityParams):
-        obj["params"] = {"sizes": list(params.sizes), "p_in": params.p_in, "p_out": params.p_out}
-    else:
-        obj["params"] = {k: getattr(params, k) for k in params.__dataclass_fields__}
-    if seed is not None:
-        obj["seed"] = int(seed)
-    return obj
-
-
-def params_from_json_obj(obj):
-    """Inverse of :func:`params_to_json_obj`; returns (model, params, seed)."""
-    model = obj["model"]
-    if model not in _PARAM_TYPES:
-        raise ParameterError(f"unknown model {model!r}")
-    raw = obj["params"]
-    if model == "2K":
-        params = TwoKParams(jdm=JointDegreeMatrix.from_json_obj(raw["jdm"]))
-    elif model == "Com":
-        params = CommunityParams(tuple(raw["sizes"]), float(raw["p_in"]), float(raw["p_out"]))
-    else:
-        params = _PARAM_TYPES[model](**raw)
-    return model, params, obj.get("seed")
-
-
-def generate(params, seed):
-    """Dispatch to the generator matching the params type."""
-    if isinstance(params, WSParams):
-        return generate_ws(params, seed)
-    if isinstance(params, CBAParams):
-        return generate_cba(params, seed)
-    if isinstance(params, DDParams):
-        return generate_dd(params, seed)
-    if isinstance(params, CommunityParams):
-        return generate_community(params, seed)
-    if isinstance(params, TwoKParams):
-        return generate_2k(params.jdm, seed)
-    raise ParameterError(f"unknown params type {type(params).__name__}")
+    @classmethod
+    def from_json_obj(cls, raw):
+        return cls(jdm=JointDegreeMatrix.from_json_obj(json_key(raw, "jdm")))
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +406,13 @@ def validate_jdm(jdm):
     entries[k,l] <= n_k*n_l for k != l and entries[k,k] <= n_k(n_k-1)/2.
     """
     violations = []
-    totals = {}
     for (k, l), c in sorted(jdm.entries.items()):
         if c < 0:
             violations.append(f"negative count for ({k},{l})")
         if k < 1:
             violations.append(f"degree {k} < 1 in entry ({k},{l})")
-        totals[k] = totals.get(k, 0) + c
-        totals[l] = totals.get(l, 0) + c
     counts = {}
-    for k, total in sorted(totals.items()):
+    for k, total in sorted(jdm.endpoint_totals().items()):
         if k < 1:
             continue
         if total % k != 0:
@@ -561,3 +548,20 @@ def generate_2k(jdm, seed=None):
     if any(free):
         raise ConstructionError("free stubs remain after wiring all classes")
     return Graph(tuple(tuple(sorted(s)) for s in adj))
+
+
+_GENERATORS = {
+    WSParams: generate_ws,
+    CBAParams: generate_cba,
+    DDParams: generate_dd,
+    CommunityParams: generate_community,
+    TwoKParams: lambda params, seed: generate_2k(params.jdm, seed),
+}
+
+
+def generate(params, seed):
+    """Dispatch to the generator matching the params type."""
+    generator = _GENERATORS.get(type(params))
+    if generator is None:
+        raise ParameterError(f"unknown params type {type(params).__name__}")
+    return generator(params, seed)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import csv_text
 from .metrics import METRIC_FIELDS
 
 
@@ -137,10 +138,9 @@ class PcaProjection:
     explained_variance: tuple
 
     def to_csv_text(self):
-        lines = ["name,domain,pc1,pc2"]
-        for name, domain, _sub, pc1, pc2 in self.rows:
-            lines.append(f"{name},{domain},{pc1!r},{pc2!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(["name", "domain", "pc1", "pc2"],
+                        ([name, domain, repr(pc1), repr(pc2)]
+                         for name, domain, _sub, pc1, pc2 in self.rows))
 
 
 def standardized_metrics(table):

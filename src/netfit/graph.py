@@ -254,8 +254,12 @@ def serialize_edge_list(g):
 
 
 def load_edge_list(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    """Parse the edge-list file at ``path``; an EdgeListError names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_edge_list(fh.read())
+    except (EdgeListError, UnicodeDecodeError) as exc:
+        raise EdgeListError(f"{path}: {exc}") from None
 
 
 def save_edge_list(g, path):

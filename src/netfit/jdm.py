@@ -40,7 +40,8 @@ class JointDegreeMatrix:
                 self, "degree_counts", {int(k): int(v) for k, v in self.degree_counts.items()}
             )
 
-    def _endpoint_totals(self):
+    def endpoint_totals(self):
+        """Edge endpoints per degree k; an entry (k, k) counts twice."""
         totals = {}
         for (k, l), c in self.entries.items():
             totals[k] = totals.get(k, 0) + c
@@ -49,7 +50,7 @@ class JointDegreeMatrix:
 
     def _derive_counts(self):
         counts = {}
-        for k, total in sorted(self._endpoint_totals().items()):
+        for k, total in sorted(self.endpoint_totals().items()):
             if k <= 0:
                 continue
             counts[k] = total / k  # may be non-integral; validate_jdm flags it
@@ -74,5 +75,10 @@ class JointDegreeMatrix:
 
     @classmethod
     def from_json_obj(cls, obj):
-        entries = {(int(k), int(l)): int(c) for k, l, c in obj["entries"]}
-        return cls(entries=entries)
+        entries = obj.get("entries") if isinstance(obj, dict) else None
+        if not isinstance(entries, list) or any(
+            not isinstance(e, list) or len(e) != 3 or any(type(x) is not int for x in e)
+            for e in entries
+        ):
+            raise ValueError("jdm entries must be a list of [k, l, count] integer triples")
+        return cls(entries={(k, l): c for k, l, c in entries})

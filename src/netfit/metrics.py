@@ -23,22 +23,6 @@ import numpy as np
 
 from .jdm import JointDegreeMatrix
 
-#: CSV column order for feature rows; the last three are optional.
-CSV_HEADER = (
-    "name",
-    "size",
-    "density",
-    "assort",
-    "avg_clust",
-    "avg_deg",
-    "max_eigenv_c",
-    "avg_path_length",
-    "skew_deg_dist",
-    "domain",
-    "category",
-    "subcategory",
-)
-
 #: Metric fields entering distance / correlation / PCA computations
 #: (size is excluded: generated counterparts share it by construction).
 METRIC_FIELDS = (
@@ -50,6 +34,9 @@ METRIC_FIELDS = (
     "avg_path_length",
     "skew_deg_dist",
 )
+
+#: CSV column order for feature rows; the last three are optional.
+CSV_HEADER = ("name", "size") + METRIC_FIELDS + ("domain", "category", "subcategory")
 
 
 class MetricDomainError(ValueError):

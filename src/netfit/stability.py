@@ -8,13 +8,12 @@ model-stability boxplots.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import seeds
+from .dataset import csv_text
 from .generators import ConstructionError, GenerationError, generate
 from .metrics import FeatureVector, MetricDomainError, PowerIterationError, feature_vector
 
@@ -51,21 +50,14 @@ class StabilitySummary:
         return self.cells[(model, metric)]
 
     def to_csv_text(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
+        return csv_text(
             ["model", "metric", "mean", "std", "min", "q1", "median", "q3", "max",
-             "failures", "replicates"]
+             "failures", "replicates"],
+            ([model, metric]
+             + [repr(v) for v in astuple(self.cells[(model, metric)])]
+             + [self.failures[model], self.replicates]
+             for model in self.models for metric in SUMMARY_FIELDS),
         )
-        for model in self.models:
-            for metric in SUMMARY_FIELDS:
-                s = self.cells[(model, metric)]
-                writer.writerow(
-                    [model, metric]
-                    + [repr(v) for v in (s.mean, s.std, s.min, s.q1, s.median, s.q3, s.max)]
-                    + [self.failures[model], self.replicates]
-                )
-        return buf.getvalue()
 
 
 def _summarize(values):

@@ -16,6 +16,7 @@ from netfit import seeds
 from netfit.classify import roc_auc, run_task, stratified_kfold
 from netfit.cli import main
 from netfit.dataset import DatasetRow, DatasetTable
+from netfit.fitting import MODELS as REGISTRY
 from netfit.fitting import fit_cba, fit_model, fit_ws
 from netfit.generators import (
     CBAParams,
@@ -46,7 +47,7 @@ from helpers import (
     random_connected_graph,
 )
 
-MODELS = ("WS", "CBA", "DD", "Com", "2K")
+MODELS = tuple(spec.name for spec in REGISTRY if spec.competes)
 DOMAINS = ("social", "food", "brain", "chems")
 
 

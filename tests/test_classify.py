@@ -102,6 +102,9 @@ class TestDecisionTree:
         tree = train_tree(data)
         counts = tree.split_feature_counts()
         assert counts[0] >= 1
+        assert len(counts) == 2  # one count per feature column, split on or not
+        forest = train_forest(data, config=ForestConfig(trees=5), seed=1)
+        assert len(forest.split_feature_counts()) == 2
 
 
 class TestRandomForest:

@@ -7,6 +7,7 @@ import pytest
 from netfit.cli import main
 from netfit.data import corpus_manifest
 from netfit.dataset import DatasetTable
+from netfit.metrics import CSV_HEADER
 
 TRIANGLE = "a b\nb c\nc a\n"
 
@@ -68,6 +69,17 @@ class TestMeasure:
         err = capsys.readouterr().err
         assert "empty.txt" in err
 
+    @pytest.mark.parametrize("command,code", [("measure", 1), ("fit", 2), ("stability", 2)])
+    def test_edge_list_error_names_file_once(self, tmp_path, capsys, command, code):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("a b\nc\n")
+        argv = [command, str(bad)]
+        if command != "measure":
+            argv += ["--out", str(tmp_path / "o"), "--seed", "1"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 2: expected two node tokens, got 1\n"
+
     def test_two_files_order_preserved(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -96,6 +108,31 @@ class TestFitGenerate:
             ["generate", str(report_path), "--seed", "3", "--out", str(out_graph)]
         ) == 0
         assert out_graph.read_text().count("\n") > 0
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("{}", "missing key 'model'"),
+            ("not json", "Expecting value: line 1 column 1 (char 0)"),
+            ('{"model": "ER", "params": {}}', "unknown model 'ER'"),
+            ('{"model": "WS", "params": {"n": 10, "K": 2}}', "missing key 'p'"),
+            ('{"model": "WS", "params": {"n": "10", "K": 2, "p": 0.1}}',
+             "n must be an integer, got '10'"),
+            ('{"model": "WS", "params": {"n": 10, "K": 3, "p": 0.1}}',
+             "WS requires even K with 2 <= K < n, got n=10 K=3"),
+        ],
+        ids=["empty-object", "not-json", "unknown-model", "missing-param", "string-n", "odd-K"],
+    )
+    def test_malformed_params_exit_2_before_generating(self, tmp_path, capsys, content,
+                                                       message):
+        params = tmp_path / "fit.json"
+        params.write_text(content)
+        out = tmp_path / "g.txt"
+        assert main(["generate", str(params), "--seed", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: params {params}: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -205,11 +242,36 @@ class TestDownstreamCommands:
         assert report["task"] == "subcategory"
         assert 0.0 <= report["pooled_accuracy"] <= 1.0
 
-    def test_schema_mismatch_reports_missing_columns(self, tmp_path, capsys):
+    GOOD_ROW = "g,10,0.5,0.1,0.2,3.0,0.4,1.5,0.3,food,real,Real"
+
+    @pytest.mark.parametrize("command", ["gof", "classify"])
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (None, "1: header mismatch; missing columns: ['density',"),
+            (["g,x,0.5,0.1,0.2,3.0,0.4,1.5,0.3,food,real,Real"],
+             "2: size must be an integer, got 'x'"),
+            ([GOOD_ROW, "h,10,0.5,0.1,0.2,3.0,0.4,1.5,0.3,bio,real,Real"],
+             "3: unknown domain 'bio' for 'h'"),
+        ],
+        ids=["missing-columns", "non-numeric", "unknown-domain"],
+    )
+    def test_schema_mismatch_reports_missing_columns(self, tmp_path, capsys, command, rows,
+                                                      message):
         bad = tmp_path / "bad.csv"
-        bad.write_text("name,size\nx,3\n")
-        assert main(["gof", str(bad), "--out", str(tmp_path / "o")]) == 2
-        assert "missing columns" in capsys.readouterr().err
+        if rows is None:
+            bad.write_text("name,size\nx,3\n")
+        else:
+            bad.write_text("\n".join([",".join(CSV_HEADER)] + rows) + "\n")
+        out = tmp_path / "o"
+        argv = [command, str(bad), "--out", str(out)]
+        if command == "classify":
+            argv += ["--task", "domain", "--seed", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dataset {bad}:{message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestConfigFile:

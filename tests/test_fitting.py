@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netfit.fitting import (
+    MODELS,
     UnfittableError,
     fit_2k,
     fit_cba,
@@ -10,14 +11,18 @@ from netfit.fitting import (
     fit_model,
     fit_ws,
     louvain,
+    model_spec,
     modularity,
+    params_from_json_obj,
     smoothed_value,
     ws_base_params,
 )
+from netfit.dataset import SUBCATEGORIES
 from netfit.generators import (
     CBAParams,
     CommunityParams,
     DDParams,
+    TwoKParams,
     WSParams,
     generate_cba,
     generate_community,
@@ -237,18 +242,32 @@ class TestFit2K:
 class TestFitModelDispatch:
     def test_all_models(self):
         g = generate_community(CommunityParams((15, 15), 0.5, 0.1), 4)
-        for model in ("WS", "WS_STD", "CBA", "DD", "Com", "2K"):
-            fit = fit_model(g, model, budget=8, replicates=2, seed=1)
-            assert fit.model == model
+        for spec in MODELS:
+            fit = fit_model(g, spec.name, budget=8, replicates=2, seed=1)
+            assert fit.model == spec.name
+            assert type(fit.params) is spec.params_type
+
+    def test_registry_order_and_competes(self):
+        assert [(s.name, s.params_type, s.competes) for s in MODELS] == [
+            ("WS", WSParams, True),
+            ("WS_STD", WSParams, False),
+            ("CBA", CBAParams, True),
+            ("DD", DDParams, True),
+            ("Com", CommunityParams, True),
+            ("2K", TwoKParams, True),
+        ]
+        # the column order of the goodness-of-fit reports
+        assert SUBCATEGORIES == ("Real", "2K", "CBA", "WS", "WS_STD", "DD", "Com")
+        assert model_spec("CBA") is MODELS[2]
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             fit_model(TRIANGLE, "ER")
+        with pytest.raises(ValueError, match="unknown model 'ER'"):
+            params_from_json_obj({"model": "ER", "params": {}})
 
     def test_report_json_round_trip(self):
         import json
-
-        from netfit.generators import params_from_json_obj
 
         g = generate_cba(CBAParams(30, 2, 0.3), 2)
         fit = fit_model(g, "CBA", budget=8, replicates=2, seed=3)

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from netfit.fitting import MODELS, params_from_json_obj
 from netfit.generators import (
     CBAParams,
     CommunityParams,
@@ -15,8 +18,6 @@ from netfit.generators import (
     generate_community,
     generate_dd,
     generate_ws,
-    params_from_json_obj,
-    params_to_json_obj,
     validate_jdm,
 )
 from netfit.graph import connected_components, degree_sequence
@@ -291,6 +292,15 @@ class TestGenerate2K:
         assert joint_degree_matrix(out).entries == jdm.entries
 
 
+SAMPLE_PARAMS = {
+    WSParams: WSParams(12, 4, 0.25),
+    CBAParams: CBAParams(12, 2, 0.5),
+    DDParams: DDParams(12, 0.7),
+    CommunityParams: CommunityParams((4, 8), 0.5, 0.1),
+    TwoKParams: TwoKParams(JointDegreeMatrix({(2, 2): 3, (1, 2): 2})),
+}
+
+
 class TestDispatchAndSerialization:
     def test_generate_dispatch(self):
         assert generate(WSParams(10, 2, 0.0), 1).edge_count == 10
@@ -300,20 +310,15 @@ class TestDispatchAndSerialization:
         assert generate(TwoKParams(JointDegreeMatrix({(2, 2): 3})), 1).edge_count == 3
 
     @pytest.mark.parametrize(
-        "params",
-        [
-            WSParams(12, 4, 0.25),
-            CBAParams(12, 2, 0.5),
-            DDParams(12, 0.7),
-            CommunityParams((4, 8), 0.5, 0.1),
-            TwoKParams(JointDegreeMatrix({(2, 2): 3, (1, 2): 2})),
-        ],
+        "params", [(spec.name, SAMPLE_PARAMS[spec.params_type]) for spec in MODELS]
     )
     def test_json_round_trip(self, params):
-        obj = params_to_json_obj(params, seed=42)
+        name, sample = params
+        obj = json.loads(json.dumps({"model": name, "params": sample.to_json_obj(), "seed": 42}))
         model, parsed, seed = params_from_json_obj(obj)
-        assert seed == 42
-        assert generate(parsed, 7) == generate(params, 7)
+        assert (model, seed) == (name, 42)
+        assert parsed == sample
+        assert generate(parsed, 7) == generate(sample, 7)
 
     def test_ws_std_maps_to_ws_params(self):
         model, parsed, _ = params_from_json_obj(

@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -255,6 +256,16 @@ class TestPca:
     def test_rank0_errors(self):
         with pytest.raises(ValueError):
             pca_project(table_from_vectors([[0.5] * 7] * 4))
+
+    def test_csv_quotes_names(self):
+        rng = np.random.default_rng(3)
+        rows = [make_row(name, vec) for name, vec in
+                zip(("a,b", 'say "hi"', "c"), rng.normal(size=(3, 7)).tolist())]
+        proj = pca_project(DatasetTable(rows=tuple(rows)))
+        records = list(csv.reader(io.StringIO(proj.to_csv_text())))
+        assert [r[0] for r in records] == ["name", "a,b", 'say "hi"', "c"]
+        assert all(len(r) == 4 for r in records)
+        assert float(records[1][2]) == proj.rows[0][3]
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(5)
