@@ -58,7 +58,8 @@ def _read_config(path):
 def _resolve_seed(args):
     if args.seed is None:
         args.seed = secrets.randbits(48)
-        print(f"seed: {args.seed} (chosen from entropy; pass --seed to reproduce)")
+        print(f"seed: {args.seed} (chosen from entropy; pass --seed to reproduce)",
+              file=sys.stderr)
     return args.seed
 
 

@@ -2,11 +2,19 @@
 
 Closed-form parameters (sizes, degree-derived integers, community edge
 densities, the joint degree matrix) are computed directly. The remaining
-free probability of WS, CBA and DD is found by minimizing the absolute
-gap of the model's designated metric (clustering, clustering, density)
-over a coarse grid followed by golden-section refinement; stochastic
-objectives are smoothed by averaging a fixed number of generation
-replicates per candidate.
+free probability p of WS, CBA and DD is the root of the signed gap
+between the model's designated metric (clustering, degree std for
+WS_STD, clustering, density) and the target's, each of which is
+monotone in p. The metric is smoothed by averaging a fixed number of
+generation replicates whose seeds are the same at every candidate
+(common random numbers), so the gap moves smoothly with p. The search
+grows a bracket upward from the lower bound of p's range in doubling
+steps until the gap changes sign, then bisects it until it is at most
+1e-4 wide (in log10 p for WS). A zero gap counts as past the root. When
+no sign change occurs in the range, the fit is the bound reached, with
+a note. The budget caps the number of distinct candidates; the report
+gives the evaluated candidate with the smallest gap, ties toward the
+smaller p.
 
 Community detection for the community-structure model is the built-in
 multi-level modularity optimizer (:func:`louvain`).
@@ -32,8 +40,6 @@ from .generators import (
     json_key,
 )
 from .metrics import average_clustering, density, joint_degree_matrix
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_BUDGET = 60
 DEFAULT_REPLICATES = 5
@@ -70,78 +76,65 @@ class FitReport:
 # ---------------------------------------------------------------------------
 # Smoothed scalar search
 
+# The first bracket step, as a share of the search range; each later step doubles.
+FIRST_STEP = 1.0 / 4
+# Bisection stops once the bracket is this narrow in the search space.
+TOLERANCE = 1e-4
 
-def eval_seed(master, q, replicate):
-    """Seed of one smoothing replicate at candidate q (replayable)."""
-    return seeds.derive(master, format(q, ".17g"), replicate)
+
+def eval_seed(master, replicate):
+    """Seed of one smoothing replicate, the same at every candidate."""
+    return seeds.derive(master, replicate)
 
 
 def smoothed_value(simulate, q, replicates, master):
     """Mean of ``replicates`` simulations at q with replayable seeds."""
     acc = 0.0
     for r in range(replicates):
-        acc += simulate(q, eval_seed(master, q, r))
+        acc += simulate(q, eval_seed(master, r))
     return acc / replicates
 
 
-class _Search:
-    """Budgeted argmin over a probability with replicate smoothing.
+def _search(simulate, target, rises, lo, hi, budget, replicates, seed, log_space=False):
+    """Root of the smoothed gap ``smoothed(q) - target`` for q in [lo, hi].
 
-    Replicate seeds derive from (master seed, candidate, index), so a
-    report's objective can be replayed exactly afterwards. Tracks every
-    evaluated candidate; ties resolve toward the smaller parameter.
+    The metric rises with q when ``rises`` is true and falls otherwise.
+    Returns (q, |gap| at q, evaluations, notes). At most ``budget``
+    distinct candidates are evaluated.
     """
+    to_q = (lambda x: 10.0**x) if log_space else (lambda x: x)
+    a, b = (math.log10(lo), math.log10(hi)) if log_space else (lo, hi)
+    gaps = {}  # candidate q -> smoothed(q) - target
 
-    def __init__(self, simulate, target, budget, replicates, seed):
-        self.simulate = simulate  # (q, seed) -> metric value
-        self.target = target
-        self.budget = budget
-        self.replicates = replicates
-        self.seed = seed
-        self.values = {}
+    def past_root(x):
+        """Whether x is at or past the root (a zero gap counts); None once over budget."""
+        q = to_q(x)
+        if q not in gaps:
+            if len(gaps) >= budget:
+                return None
+            gaps[q] = smoothed_value(simulate, q, replicates, seed) - target
+        return bool((gaps[q] if rises else -gaps[q]) >= 0)
 
-    def evaluate(self, q):
-        if q in self.values:
-            return self.values[q]
-        if len(self.values) >= self.budget:
-            return None
-        objective = abs(self.target - smoothed_value(self.simulate, q, self.replicates, self.seed))
-        self.values[q] = objective
-        return objective
-
-    def best(self):
-        return min(self.values.items(), key=lambda item: (item[1], item[0]))
-
-    def refine(self, lo, hi, log_space=False):
-        """Golden-section inside [lo, hi] until the budget is exhausted."""
-        tf = math.log10 if log_space else (lambda x: x)
-        inv = (lambda x: 10.0**x) if log_space else (lambda x: x)
-        a, b = tf(lo), tf(hi)
-        c = b - GOLDEN * (b - a)
-        d = a + GOLDEN * (b - a)
-        fc = self.evaluate(inv(c))
-        fd = self.evaluate(inv(d))
-        while fc is not None and fd is not None and (b - a) > 1e-4:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - GOLDEN * (b - a)
-                fc = self.evaluate(inv(c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + GOLDEN * (b - a)
-                fd = self.evaluate(inv(d))
-
-    def run(self, grid, log_space=False):
-        for q in grid:
-            self.evaluate(q)
-        best_q, _ = self.best()
-        qs = sorted(self.values)
-        i = qs.index(best_q)
-        lo = qs[max(i - 1, 0)]
-        hi = qs[min(i + 1, len(qs) - 1)]
-        if lo < hi:
-            self.refine(lo, hi, log_space=log_space)
-        return self.best()
+    # grow a bracket upward from the lower bound
+    below, x, step = None, a, (b - a) * FIRST_STEP
+    side = past_root(x)
+    while side is False and x < b:
+        below, x, step = x, min(x + step, b), 2 * step
+        side = past_root(x)
+    if side is not None and (below is None or not side):
+        # no sign change inside the range: the fit is the bound reached
+        q = to_q(x)
+        notes = (f"target beyond model range: p at bound {q}",) if gaps[q] else ()
+        return q, abs(gaps[q]), len(gaps), notes
+    while side is not None and x - below > TOLERANCE:
+        mid = (below + x) / 2
+        side = past_root(mid)
+        if side:
+            x = mid
+        elif side is False:
+            below = mid
+    q, gap = min(gaps.items(), key=lambda item: (abs(item[1]), item[0]))
+    return q, abs(gap), len(gaps), ()
 
 
 def _round_half_up(x):
@@ -180,82 +173,79 @@ def ws_base_params(g):
 def fit_ws(g, mode="clustering", budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
     """Fit WS by matching clustering ("clustering") or degree std ("degree_std").
 
-    The rewiring probability is searched over [0.001, 1] (the lower bound
-    avoids the degenerate lattice) on a 17-point log grid plus refinement.
+    The rewiring probability is searched in log space over [0.001, 1]; the
+    lower bound avoids the degenerate lattice. Clustering falls with p and
+    degree std rises.
     """
     if mode not in ("clustering", "degree_std"):
         raise ValueError(f"unknown WS fit mode {mode!r}")
     n, K, notes = ws_base_params(g)
     measure = average_clustering if mode == "clustering" else _degree_std
-    target = measure(g)
 
     def simulate(q, s):
         return measure(generate_ws(WSParams(n=n, K=K, p=q), s))
 
-    search = _Search(simulate, target, budget, replicates, seed)
-    grid = np.logspace(-3.0, 0.0, 17)
-    best_q, best_obj = search.run([float(q) for q in grid], log_space=True)
+    q, objective, evaluations, bound_notes = _search(
+        simulate, measure(g), mode == "degree_std", 0.001, 1.0, budget, replicates, seed,
+        log_space=True)
     return FitReport(
         model="WS" if mode == "clustering" else "WS_STD",
-        params=WSParams(n=n, K=K, p=best_q),
-        objective_value=best_obj,
-        evaluations=len(search.values),
+        params=WSParams(n=n, K=K, p=q),
+        objective_value=objective,
+        evaluations=evaluations,
         replicates_per_eval=replicates,
         seed=seed,
-        notes=notes,
+        notes=notes + bound_notes,
     )
 
 
 def fit_cba(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
-    """Fit CBA: m from the edge/node ratio, p by matching clustering."""
+    """Fit CBA: m from the edge/node ratio, p in [0, 1] by matching clustering,
+    which rises with p."""
     n = g.node_count
     if n < 2:
         raise UnfittableError("CBA needs at least 2 nodes")
     m = max(1, _round_half_up(g.edge_count / n))
-    notes = []
+    notes = ()
     if m >= n:
         m = n - 1
-        notes.append(f"m clamped to {m} (n={n})")
-    target = average_clustering(g)
+        notes = (f"m clamped to {m} (n={n})",)
 
     def simulate(q, s):
         return average_clustering(generate_cba(CBAParams(n=n, m=m, p=q), s))
 
-    search = _Search(simulate, target, budget, replicates, seed)
-    grid = [i / 10.0 for i in range(11)]
-    best_q, best_obj = search.run(grid)
+    q, objective, evaluations, bound_notes = _search(
+        simulate, average_clustering(g), True, 0.0, 1.0, budget, replicates, seed)
     return FitReport(
         model="CBA",
-        params=CBAParams(n=n, m=m, p=best_q),
-        objective_value=best_obj,
-        evaluations=len(search.values),
+        params=CBAParams(n=n, m=m, p=q),
+        objective_value=objective,
+        evaluations=evaluations,
         replicates_per_eval=replicates,
         seed=seed,
-        notes=tuple(notes),
+        notes=notes + bound_notes,
     )
 
 
 def fit_dd(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
-    """Fit DD: p by matching graph density on a 0.02-step grid."""
+    """Fit DD: p in [0.02, 1] by matching graph density, which rises with p."""
     n = g.node_count
     if n < 2:
         raise UnfittableError("DD needs at least 2 nodes")
-    target = density(g)
 
     def simulate(q, s):
-        h = generate_dd(DDParams(n=n, p=q), s)
-        return density(h)
+        return density(generate_dd(DDParams(n=n, p=q), s))
 
-    search = _Search(simulate, target, budget, replicates, seed)
-    grid = [round(0.02 * i, 2) for i in range(1, 51)]
-    best_q, best_obj = search.run(grid)
+    q, objective, evaluations, notes = _search(
+        simulate, density(g), True, 0.02, 1.0, budget, replicates, seed)
     return FitReport(
         model="DD",
-        params=DDParams(n=n, p=best_q),
-        objective_value=best_obj,
-        evaluations=len(search.values),
+        params=DDParams(n=n, p=q),
+        objective_value=objective,
+        evaluations=evaluations,
         replicates_per_eval=replicates,
         seed=seed,
+        notes=notes,
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from netfit.cli import main
 from netfit.data import corpus_manifest
 from netfit.dataset import DatasetTable
+from netfit.graph import parse_edge_list
 from netfit.metrics import CSV_HEADER
 
 TRIANGLE = "a b\nb c\nc a\n"
@@ -302,4 +303,13 @@ class TestEntropySeed:
             ["fit", str(graph), "--model", "2K", "--out", str(tmp_path / "f")]
         )
         assert code == 0
-        assert "seed:" in capsys.readouterr().out
+        assert "seed:" in capsys.readouterr().err
+
+    def test_generate_to_stdout_keeps_seed_line_out_of_edge_list(self, tmp_path, capsys):
+        params = tmp_path / "fit.json"
+        params.write_text('{"model": "WS", "params": {"n": 10, "K": 2, "p": 0.0}}')
+        assert main(["generate", str(params)]) == 0
+        captured = capsys.readouterr()
+        g = parse_edge_list(captured.out)
+        assert (g.node_count, g.edge_count) == (10, 10)
+        assert captured.err.startswith("seed: ")

@@ -162,6 +162,93 @@ class TestFitCBA:
         assert fit.evaluations <= 15
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """Every (p, seed) that the WS, CBA and DD fits generate with."""
+    import netfit.fitting as fitting_module
+
+    seen = []
+    for name in ("generate_ws", "generate_cba", "generate_dd"):
+        def spy(params, seed, real=getattr(fitting_module, name)):
+            seen.append((params.p, seed))
+            return real(params, seed)
+
+        monkeypatch.setattr(fitting_module, name, spy)
+    return seen
+
+
+STAR = graph_from_edges(12, [(0, v) for v in range(1, 12)])
+
+
+def _degree_std(g):
+    return float(np.std(g.degree_array))
+
+
+class TestSearch:
+    def test_candidates_share_replicate_seeds(self, draws):
+        fit_cba(generate_cba(CBAParams(40, 2, 0.5), 9), budget=15, replicates=3, seed=6)
+        seeds_by_p = {}
+        for p, seed in draws:
+            seeds_by_p.setdefault(p, []).append(seed)
+        assert len(seeds_by_p) > 2
+        assert len({tuple(s) for s in seeds_by_p.values()}) == 1
+
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    @pytest.mark.parametrize("model", ["WS", "WS_STD", "CBA", "DD"])
+    def test_budget_caps_distinct_candidates(self, draws, model, budget):
+        g = generate_community(CommunityParams((15, 15), 0.5, 0.1), 4)
+        fit = fit_model(g, model, budget=budget, replicates=2, seed=1)
+        evaluated = {p for p, _ in draws}
+        assert fit.evaluations == len(evaluated) <= budget
+        assert fit.params.p in evaluated
+
+    @pytest.mark.parametrize(
+        "fit, graph, bound, notes",
+        [
+            (lambda g: fit_ws(g, budget=25, replicates=2, seed=3),
+             generate_ws(WSParams(10, 4, 0.0), 0), 0.001, ()),
+            (lambda g: fit_cba(g, budget=15, replicates=2, seed=1),
+             generate_cba(CBAParams(60, 1, 0.0), 3), 0.0, ()),
+            (lambda g: fit_dd(g, budget=60, replicates=5, seed=2),
+             K4, 1.0, ("target beyond model range: p at bound 1.0",)),
+            (lambda g: fit_cba(g, budget=15, replicates=2, seed=1),
+             K44, 0.0, ("target beyond model range: p at bound 0.0",)),
+            (lambda g: fit_ws(g, "degree_std", budget=25, replicates=2, seed=1),
+             STAR, 1.0, ("target beyond model range: p at bound 1.0",)),
+        ],
+        ids=["WS-lattice", "CBA-tree", "DD-K4", "CBA-bipartite", "WS_STD-star"],
+    )
+    def test_no_sign_change_fits_the_bound(self, fit, graph, bound, notes):
+        report = fit(graph)
+        assert report.params.p == bound
+        assert report.notes == notes
+        assert (report.objective_value > 0) == bool(notes)
+
+    def test_sparse_dd_target_never_evaluates_p_1(self, draws):
+        fit = fit_dd(generate_dd(DDParams(150, 0.45), 8), budget=60, replicates=4, seed=3)
+        assert max(p for p, _ in draws) < 1.0
+        assert fit.notes == ()
+
+    # The directions the search brackets with; at n = 10 WS clustering is
+    # not monotone (rewiring near p = 0.03 raises it), so these use n >= 54.
+    @pytest.mark.parametrize(
+        "make, measure, ps, rises",
+        [
+            (lambda p, s: generate_ws(WSParams(60, 6, p), s), average_clustering,
+             (0.001, 0.01, 0.05, 0.2, 0.5, 1.0), False),
+            (lambda p, s: generate_ws(WSParams(60, 6, p), s), _degree_std,
+             (0.3, 0.5, 0.7, 0.85, 1.0), True),
+            (lambda p, s: generate_cba(CBAParams(54, 2, p), s), average_clustering,
+             (0.0, 0.05, 0.1, 0.2, 0.5), True),
+        ],
+        ids=["WS-clustering-falls", "WS-degree-std-rises", "CBA-clustering-rises"],
+    )
+    def test_search_metric_monotone_in_p(self, make, measure, ps, rises):
+        means = [np.mean([measure(make(p, s)) for s in range(100)]) for p in ps]
+        steps = np.diff(means)
+        assert np.all(steps > 0 if rises else steps < 0), means
+
+
 class TestFitDD:
     def test_density_monotone_in_p_at_n4(self):
         # the boundary-fit rationale: expected density increases with p
