@@ -1,7 +1,10 @@
 """Decision-tree and random-forest classification of network origin.
 
 CART trees with Gini impurity, bagged into forests with per-split
-feature subsampling. Evaluation is stratified k-fold with pooled
+feature subsampling. Splits cut at midpoints between distinct values and
+keep the first optimum within 1e-12; a forest's ``features_per_split``
+defaults to floor(sqrt(d)), is at least 1, and trees grow over plain
+lists of row indices. Evaluation is stratified k-fold with pooled
 predictions; multi-class tasks report accuracy plus the confusion
 matrix, the binary real-vs-model task reports AUC.
 
@@ -14,7 +17,7 @@ stay out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +52,8 @@ class LabeledDataset:
     def __post_init__(self):
         if len(self.features) != len(self.labels):
             raise ValueError("feature/label row counts differ")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite: tree splits sort them")
 
     def __len__(self):
         return len(self.labels)
@@ -118,67 +123,83 @@ class TreeConfig:
     min_samples_split: int = 2
     features_per_split: int | None = None  # None = all features
 
+    def __post_init__(self):
+        _check_limits(self)
+        if self.min_samples_split < 2:
+            raise ValueError(f"min_samples_split must be at least 2, got {self.min_samples_split}")
 
-def _gini_split_score(col, labels, n_classes):
-    """Best (weighted Gini, threshold) for one feature column, or None.
+
+def _check_limits(config):
+    """ValueError unless ``config``'s depth and per-split feature limits are in range."""
+    if config.max_depth is not None and config.max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {config.max_depth}")
+    if config.features_per_split is not None and config.features_per_split < 1:
+        raise ValueError(f"features_per_split must be at least 1, got {config.features_per_split}")
+
+
+def _gini_split_score(col, labels, rows, counts):
+    """Best (weighted Gini, threshold) for one feature column over ``rows``, or None.
 
     Thresholds are midpoints between consecutive distinct sorted values;
-    the scan keeps the first (smallest-threshold) optimum.
+    the scan keeps the first (smallest-threshold) optimum. Sums of squared
+    class counts are exact integers, as a float dot product of counts gives.
     """
-    order = np.argsort(col, kind="stable")
-    values = col[order]
-    classes = labels[order]
-    n = len(values)
-    left = np.zeros(n_classes)
-    right = np.bincount(classes, minlength=n_classes).astype(float)
+    order = sorted(rows, key=col.__getitem__)
+    values = [col[r] for r in order]
+    n = len(order)
+    left = [0] * len(counts)
+    right = list(counts)
+    sq_l, sq_r = 0, sum(c * c for c in counts)
     best = None
-    for i in range(n - 1):
-        c = classes[i]
+    for nl in range(1, n):
+        c = labels[order[nl - 1]]
+        sq_l += 2 * left[c] + 1
+        sq_r -= 2 * right[c] - 1
         left[c] += 1
         right[c] -= 1
-        if values[i + 1] <= values[i]:
+        if values[nl] <= values[nl - 1]:
             continue
-        nl = i + 1
         nr = n - nl
-        gini_l = 1.0 - float(left @ left) / (nl * nl)
-        gini_r = 1.0 - float(right @ right) / (nr * nr)
-        score = (nl * gini_l + nr * gini_r) / n
+        score = (nl * (1.0 - sq_l / (nl * nl)) + nr * (1.0 - sq_r / (nr * nr))) / n
         if best is None or score < best[0] - 1e-12:
-            best = (score, (values[i] + values[i + 1]) / 2.0)
+            best = (score, (values[nl - 1] + values[nl]) / 2.0)
     return best
 
 
-def _grow_tree(feats, labels, n_classes, config, depth, rng):
-    counts = np.bincount(labels, minlength=n_classes)
-    node_counts = tuple(int(c) for c in counts)
-    n = len(labels)
-    pure = int(np.max(counts)) == n
+def _grow_tree(cols, labels, rows, n_classes, config, depth, rng):
+    """CART subtree over ``rows``, indices into the feature lists ``cols`` and ``labels``."""
+    counts = [0] * n_classes
+    for r in rows:
+        counts[labels[r]] += 1
+    n = len(rows)
     if (
-        pure
+        max(counts) == n
         or n < config.min_samples_split
         or (config.max_depth is not None and depth >= config.max_depth)
     ):
-        return TreeNode(counts=node_counts)
-    d = feats.shape[1]
+        return TreeNode(counts=tuple(counts))
+    d = len(cols)
     if config.features_per_split is not None and config.features_per_split < d:
-        candidates = np.sort(rng.choice(d, size=config.features_per_split, replace=False))
+        candidates = np.sort(rng.choice(d, size=config.features_per_split, replace=False)).tolist()
     else:
-        candidates = np.arange(d)
+        candidates = range(d)
     best = None
     for f in candidates:
-        scored = _gini_split_score(feats[:, f], labels, n_classes)
+        scored = _gini_split_score(cols[f], labels, rows, counts)
         if scored is None:
             continue
         score, threshold = scored
         if best is None or score < best[0] - 1e-12:
-            best = (score, int(f), threshold)
+            best = (score, f, threshold)
     if best is None:
-        return TreeNode(counts=node_counts)  # no feature separates the rows
+        return TreeNode(counts=tuple(counts))  # no feature separates the rows
     _, f, threshold = best
-    mask = feats[:, f] <= threshold
-    left = _grow_tree(feats[mask], labels[mask], n_classes, config, depth + 1, rng)
-    right = _grow_tree(feats[~mask], labels[~mask], n_classes, config, depth + 1, rng)
-    return TreeNode(counts=node_counts, feature=f, threshold=threshold, left=left, right=right)
+    col = cols[f]
+    below = [r for r in rows if col[r] <= threshold]
+    above = [r for r in rows if col[r] > threshold]
+    left = _grow_tree(cols, labels, below, n_classes, config, depth + 1, rng)
+    right = _grow_tree(cols, labels, above, n_classes, config, depth + 1, rng)
+    return TreeNode(counts=tuple(counts), feature=f, threshold=threshold, left=left, right=right)
 
 
 @dataclass(frozen=True)
@@ -188,25 +209,22 @@ class TreeModel:
     config: TreeConfig
     n_features: int
 
-    def _leaf(self, row):
+    def _leaf_counts(self, row):
         node = self.root
         while not node.is_leaf:
             node = node.left if row[node.feature] <= node.threshold else node.right
-        return node
+        return node.counts
 
     def predict(self, rows):
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return np.array([int(np.argmax(self._leaf(r).counts)) for r in rows], dtype=np.int64)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float)).tolist()
+        leaves = [self._leaf_counts(r) for r in rows]
+        return np.array([c.index(max(c)) for c in leaves], dtype=np.int64)
 
     def score(self, rows, positive=1):
         """Per-row fraction of the leaf's samples in the positive class."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        out = []
-        for r in rows:
-            counts = self._leaf(r).counts
-            total = sum(counts)
-            out.append(counts[positive] / total if total else 0.0)
-        return np.array(out)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float)).tolist()
+        leaves = [self._leaf_counts(r) for r in rows]
+        return np.array([c[positive] / sum(c) if sum(c) else 0.0 for c in leaves])
 
     def split_feature_counts(self):
         """Number of splits on each feature column, length ``n_features``."""
@@ -223,16 +241,21 @@ class TreeModel:
         return tuple(counts)
 
 
+def _columns(dataset):
+    """The dataset as one float list per feature column and a list of labels."""
+    return dataset.features.T.tolist(), dataset.labels.tolist()
+
+
 def train_tree(dataset, config=None, seed=0):
     """Greedy CART on the full dataset (deterministic unless subsampling)."""
     if len(dataset) < 1:
         raise ValueError("cannot train on an empty dataset")
     config = config or TreeConfig()
     rng = np.random.default_rng(seed)
-    root = _grow_tree(
-        dataset.features, dataset.labels, len(dataset.class_names), config, 0, rng
-    )
-    return TreeModel(root=root, n_classes=len(dataset.class_names), config=config,
+    cols, labels = _columns(dataset)
+    n_classes = len(dataset.class_names)
+    root = _grow_tree(cols, labels, list(range(len(dataset))), n_classes, config, 0, rng)
+    return TreeModel(root=root, n_classes=n_classes, config=config,
                      n_features=dataset.features.shape[1])
 
 
@@ -247,12 +270,17 @@ class ForestConfig:
     bootstrap: bool = True
     max_depth: int | None = None
 
+    def __post_init__(self):
+        _check_limits(self)
+        if self.trees < 1:
+            raise ValueError("a forest needs at least one tree")
+
 
 @dataclass(frozen=True)
 class ForestModel:
     trees: tuple
     n_classes: int
-    config: ForestConfig
+    config: ForestConfig  # features_per_split resolved to the count each split tries
     seed: int
 
     def _votes(self, rows):
@@ -280,34 +308,22 @@ def train_forest(dataset, config=None, seed=0):
     if len(dataset) < 2:
         raise ValueError("forest training needs at least 2 samples")
     config = config or ForestConfig()
-    if config.trees < 1:
-        raise ValueError("a forest needs at least one tree")
     d = dataset.features.shape[1]
-    per_split = config.features_per_split
-    if per_split is None:
-        per_split = max(1, int(math.isqrt(d)))
-    tree_config = TreeConfig(max_depth=config.max_depth, features_per_split=per_split)
+    per_split = config.features_per_split or math.isqrt(d)
+    config = replace(config, features_per_split=max(1, min(per_split, d)))
+    tree_config = TreeConfig(max_depth=config.max_depth,
+                             features_per_split=config.features_per_split)
+    cols, labels = _columns(dataset)
+    n_classes = len(dataset.class_names)
     trees = []
     n = len(dataset)
     for i in range(config.trees):
         rng = np.random.default_rng(seeds.xor_index(seed, i))
-        if config.bootstrap:
-            sample = rng.integers(n, size=n)
-        else:
-            sample = np.arange(n)
-        root = _grow_tree(
-            dataset.features[sample],
-            dataset.labels[sample],
-            len(dataset.class_names),
-            tree_config,
-            0,
-            rng,
-        )
-        trees.append(TreeModel(root=root, n_classes=len(dataset.class_names), config=tree_config,
+        sample = rng.integers(n, size=n).tolist() if config.bootstrap else list(range(n))
+        root = _grow_tree(cols, labels, sample, n_classes, tree_config, 0, rng)
+        trees.append(TreeModel(root=root, n_classes=n_classes, config=tree_config,
                                n_features=d))
-    return ForestModel(
-        trees=tuple(trees), n_classes=len(dataset.class_names), config=config, seed=seed
-    )
+    return ForestModel(trees=tuple(trees), n_classes=n_classes, config=config, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +474,16 @@ def run_task(table, task, model="forest", k=5, seed=0, domain=None, forest_confi
         split_counts = [a + b for a, b in zip(split_counts, clf.split_feature_counts())]
     conf = confusion_matrix(pooled_pred, data.labels, len(data.class_names))
     auc = roc_auc(pooled_score, (data.labels == positive).astype(int)) if binary else None
+    cfg = clf.config  # as trained, with the forest's features_per_split resolved
     if model == "forest":
-        cfg = forest_config or ForestConfig()
-        per_split = cfg.features_per_split or max(1, int(math.isqrt(len(FEATURE_FIELDS))))
         hyper = {
             "trees": cfg.trees,
-            "features_per_split": per_split,
+            "features_per_split": cfg.features_per_split,
             "bootstrap": cfg.bootstrap,
             "max_depth": cfg.max_depth,
             "folds": k,
         }
     else:
-        cfg = tree_config or TreeConfig()
         hyper = {
             "max_depth": cfg.max_depth,
             "min_samples_split": cfg.min_samples_split,

@@ -94,6 +94,13 @@ class DatasetTable:
     def __len__(self):
         return len(self.rows)
 
+    @classmethod
+    def _checked(cls, rows):
+        """Table of ``rows`` that were already checked together, without checking again."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "rows", tuple(rows))
+        return table
+
     def filter(self, domain=None, category=None, exclude_subcategories=()):
         kept = [
             r
@@ -102,7 +109,7 @@ class DatasetTable:
             and (category is None or r.category == category)
             and r.subcategory not in exclude_subcategories
         ]
-        return DatasetTable(rows=tuple(kept))
+        return self._checked(kept)
 
     def domains_present(self):
         return tuple(d for d in DOMAINS if any(r.domain == d for r in self.rows))
@@ -161,7 +168,7 @@ class DatasetTable:
             raise DatasetError(f"{source}:{max(reader.line_num, 1)}: {exc}") from None
         except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
             raise DatasetError(f"{source}: {exc}") from None
-        return cls(rows=tuple(rows))
+        return cls._checked(rows)
 
 
 def write_feature_csv(named_features):

@@ -183,6 +183,85 @@ def reference_generate_community(params, seed):
 
 
 # ---------------------------------------------------------------------------
+# Reference CART: the numpy-array tree growth the library replaced
+
+
+def reference_gini_split_score(col, labels, n_classes):
+    """Best (weighted Gini, threshold) by a row-by-row scan with count-vector dot products."""
+    order = np.argsort(col, kind="stable")
+    values = col[order]
+    classes = labels[order]
+    n = len(values)
+    left = np.zeros(n_classes)
+    right = np.bincount(classes, minlength=n_classes).astype(float)
+    best = None
+    for i in range(n - 1):
+        c = classes[i]
+        left[c] += 1
+        right[c] -= 1
+        if values[i + 1] <= values[i]:
+            continue
+        nl = i + 1
+        nr = n - nl
+        gini_l = 1.0 - float(left @ left) / (nl * nl)
+        gini_r = 1.0 - float(right @ right) / (nr * nr)
+        score = (nl * gini_l + nr * gini_r) / n
+        if best is None or score < best[0] - 1e-12:
+            best = (score, (values[i] + values[i + 1]) / 2.0)
+    return best
+
+
+def reference_grow_tree(feats, labels, n_classes, config, depth, rng):
+    """CART subtree over the rows of ``feats``, splitting by boolean masks."""
+    from netfit.classify import TreeNode
+
+    counts = np.bincount(labels, minlength=n_classes)
+    node_counts = tuple(int(c) for c in counts)
+    n = len(labels)
+    pure = int(np.max(counts)) == n
+    if (
+        pure
+        or n < config.min_samples_split
+        or (config.max_depth is not None and depth >= config.max_depth)
+    ):
+        return TreeNode(counts=node_counts)
+    d = feats.shape[1]
+    if config.features_per_split is not None and config.features_per_split < d:
+        candidates = np.sort(rng.choice(d, size=config.features_per_split, replace=False))
+    else:
+        candidates = np.arange(d)
+    best = None
+    for f in candidates:
+        scored = reference_gini_split_score(feats[:, f], labels, n_classes)
+        if scored is None:
+            continue
+        score, threshold = scored
+        if best is None or score < best[0] - 1e-12:
+            best = (score, int(f), threshold)
+    if best is None:
+        return TreeNode(counts=node_counts)
+    _, f, threshold = best
+    mask = feats[:, f] <= threshold
+    left = reference_grow_tree(feats[mask], labels[mask], n_classes, config, depth + 1, rng)
+    right = reference_grow_tree(feats[~mask], labels[~mask], n_classes, config, depth + 1, rng)
+    return TreeNode(counts=node_counts, feature=f, threshold=threshold, left=left, right=right)
+
+
+def reference_forest_roots(dataset, tree_config, trees, bootstrap, seed):
+    """Root of every tree ``train_forest`` grows, by the same draws in the same order."""
+    from netfit import seeds
+
+    n = len(dataset)
+    roots = []
+    for i in range(trees):
+        rng = np.random.default_rng(seeds.xor_index(seed, i))
+        sample = rng.integers(n, size=n) if bootstrap else np.arange(n)
+        roots.append(reference_grow_tree(dataset.features[sample], dataset.labels[sample],
+                                         len(dataset.class_names), tree_config, 0, rng))
+    return roots
+
+
+# ---------------------------------------------------------------------------
 # Partition / modularity brute force
 
 

@@ -2,6 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance and runtime budget is asserted, nothing deferred.
+Every test here carries the ``acceptance`` marker, so
+`pytest -m "not acceptance"` runs the rest of the tests alone.
 The suite builds its own corpora, so it needs no external data.
 """
 
@@ -46,6 +48,8 @@ from helpers import (
     pseudo_real_graph,
     random_connected_graph,
 )
+
+pytestmark = pytest.mark.acceptance
 
 MODELS = tuple(spec.name for spec in REGISTRY if spec.competes)
 DOMAINS = ("social", "food", "brain", "chems")

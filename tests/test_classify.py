@@ -8,6 +8,7 @@ from netfit.classify import (
     ForestConfig,
     LabeledDataset,
     TreeConfig,
+    _gini_split_score,
     accuracy,
     confusion_matrix,
     roc_auc,
@@ -18,6 +19,8 @@ from netfit.classify import (
 )
 from netfit.dataset import DatasetRow, DatasetTable
 from netfit.metrics import METRIC_FIELDS, FeatureVector
+
+from helpers import reference_forest_roots, reference_grow_tree
 
 
 def dataset(features, labels, class_names=("a", "b")):
@@ -76,6 +79,10 @@ class TestDecisionTree:
         assert 1.0 < tree.root.threshold < 10.0
         assert tree.predict(data.features).tolist() == [0, 0, 1, 1]
 
+    def test_non_finite_features_refused(self):
+        with pytest.raises(ValueError, match="features must be finite"):
+            dataset([[0.0], [float("nan")], [1.0]], [0, 1, 1])
+
     def test_identical_features_single_leaf(self):
         data = dataset([[2.0], [2.0], [2.0]], [0, 1, 1])
         tree = train_tree(data)
@@ -105,6 +112,101 @@ class TestDecisionTree:
         assert len(counts) == 2  # one count per feature column, split on or not
         forest = train_forest(data, config=ForestConfig(trees=5), seed=1)
         assert len(forest.split_feature_counts()) == 2
+
+
+def corpus_shaped(rng, n):
+    """n rows of the six classifier features at the value ranges of corpus graphs."""
+    lows = np.array([-0.6, 0.0, 2.0, 0.1, 0.02, -0.5])
+    highs = np.array([0.4, 0.7, 15.0, 0.6, 0.2, 4.0])
+    return rng.uniform(lows, highs, size=(n, 6))
+
+
+def many_ties(rng, n):
+    """n rows of six features, each drawn from four values."""
+    return rng.integers(0, 4, size=(n, 6)).astype(float)
+
+
+def assert_same_tree(node, ref, path="root"):
+    assert node.counts == ref.counts, path
+    assert node.feature == ref.feature, path
+    assert float(node.threshold).hex() == float(ref.threshold).hex(), path
+    if not ref.is_leaf:
+        assert_same_tree(node.left, ref.left, path + ".left")
+        assert_same_tree(node.right, ref.right, path + ".right")
+
+
+class TestGrowthMatchesReference:
+    """Trees grown over row-index lists equal the numpy-mask growth node for node."""
+
+    @pytest.mark.parametrize("n_classes", range(2, 8))
+    @pytest.mark.parametrize("make", [corpus_shaped, many_ties])
+    def test_node_for_node(self, make, n_classes):
+        rng = np.random.default_rng(100 + n_classes)
+        feats = make(rng, 36)
+        labels = rng.integers(0, n_classes, size=36)
+        data = dataset(feats, labels, class_names=[f"c{i}" for i in range(n_classes)])
+        for max_depth in (None, 1, 3):
+            for per_split in (None, 1, 2, 6):
+                tree_config = TreeConfig(max_depth=max_depth, features_per_split=per_split)
+                tree = train_tree(data, config=tree_config, seed=7)
+                ref = reference_grow_tree(feats, labels, n_classes, tree_config, 0,
+                                          np.random.default_rng(7))
+                assert_same_tree(tree.root, ref)
+                for bootstrap in (True, False):
+                    config = ForestConfig(trees=4, features_per_split=per_split,
+                                          bootstrap=bootstrap, max_depth=max_depth)
+                    forest = train_forest(data, config=config, seed=11)
+                    used = TreeConfig(max_depth=max_depth,
+                                      features_per_split=per_split or 2)  # floor(sqrt(6))
+                    refs = reference_forest_roots(data, used, 4, bootstrap, seed=11)
+                    for tree, ref in zip(forest.trees, refs, strict=True):
+                        assert_same_tree(tree.root, ref)
+
+    def test_near_tie_keeps_first_cut(self):
+        # The cuts at 1.5 and 4.5 have the same Gini, 0.4, but the later one
+        # rounds one ulp lower; within 1e-12 the first cut stays the optimum.
+        col = [float(v) for v in range(10)]
+        labels = [0, 0, 1, 0, 0, 1, 1, 0, 0, 1]
+        later = (5 * (1.0 - 17 / 25) + 5 * (1.0 - 13 / 25)) / 10
+        assert 0.0 < 0.4 - later < 1e-12
+        assert _gini_split_score(col, labels, list(range(10)), [6, 4]) == (0.4, 1.5)
+
+
+class TestConfigLimits:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"features_per_split": 0}, "features_per_split must be at least 1, got 0"),
+        ({"features_per_split": -1}, "features_per_split must be at least 1, got -1"),
+        ({"max_depth": -1}, "max_depth must be at least 0, got -1"),
+        ({"trees": 0}, "a forest needs at least one tree"),
+    ])
+    def test_forest_config_refuses(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ForestConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"features_per_split": 0}, "features_per_split must be at least 1, got 0"),
+        ({"max_depth": -1}, "max_depth must be at least 0, got -1"),
+        ({"min_samples_split": 1}, "min_samples_split must be at least 2, got 1"),
+    ])
+    def test_tree_config_refuses(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TreeConfig(**kwargs)
+
+    def test_depth_zero_is_one_leaf(self):
+        data = dataset([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])
+        assert train_tree(data, config=TreeConfig(max_depth=0)).root.is_leaf
+
+    def test_reported_features_per_split_is_the_one_used(self):
+        table = build_table()
+        default = run_task(table, "subcategory", model="forest", k=5, seed=1, domain="food",
+                           forest_config=ForestConfig(trees=3))
+        assert default.hyperparameters["features_per_split"] == 2  # floor(sqrt(6))
+        three = run_task(table, "subcategory", model="forest", k=5, seed=1, domain="food",
+                         forest_config=ForestConfig(trees=3, features_per_split=3))
+        assert three.hyperparameters["features_per_split"] == 3
+        beyond = run_task(table, "subcategory", model="forest", k=5, seed=1, domain="food",
+                          forest_config=ForestConfig(trees=3, features_per_split=10))
+        assert beyond.hyperparameters["features_per_split"] == 6  # all there are
 
 
 class TestRandomForest:

@@ -243,6 +243,21 @@ class TestDownstreamCommands:
         assert report["task"] == "subcategory"
         assert 0.0 <= report["pooled_accuracy"] <= 1.0
 
+    def test_each_dataset_row_checked_once(self, tmp_path, dataset_csv, monkeypatch):
+        import netfit.dataset
+
+        calls = []
+        check = netfit.dataset._check_row
+        monkeypatch.setattr(netfit.dataset, "_check_row",
+                            lambda row, seen: calls.append(row) or check(row, seen))
+        rows = len(dataset_csv.read_text().splitlines()) - 1
+        assert main(["gof", str(dataset_csv), "--out", str(tmp_path / "gof")]) == 0
+        assert len(calls) == rows
+        calls.clear()
+        assert main(["classify", str(dataset_csv), "--task", "subcategory", "--model", "tree",
+                     "--folds", "2", "--seed", "5", "--out", str(tmp_path / "clf")]) == 0
+        assert len(calls) == rows
+
     GOOD_ROW = "g,10,0.5,0.1,0.2,3.0,0.4,1.5,0.3,food,real,Real"
 
     @pytest.mark.parametrize("command", ["gof", "classify"])
