@@ -284,12 +284,13 @@ class ForestModel:
     seed: int
 
     def _votes(self, rows):
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        votes = np.zeros((len(rows), self.n_classes), dtype=np.int64)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float)).tolist()
+        votes = [[0] * self.n_classes for _ in rows]
         for tree in self.trees:
-            preds = tree.predict(rows)
-            votes[np.arange(len(rows)), preds] += 1
-        return votes
+            for row, tally in zip(rows, votes):
+                counts = tree._leaf_counts(row)
+                tally[counts.index(max(counts))] += 1  # the tree's predict(): first argmax
+        return np.array(votes, dtype=np.int64).reshape(len(rows), self.n_classes)
 
     def predict(self, rows):
         return np.argmax(self._votes(rows), axis=1)

@@ -6,19 +6,23 @@ divergence (DD), community structure / planted partition (Com) and the
 
 Every generator returns a simple :class:`~netfit.graph.Graph` and is
 deterministic for a given (params, seed) pair. Randomness comes from
-``numpy.random.default_rng(seed)`` only.
+``numpy.random.default_rng(seed)`` only: WS, CBA and DD take its scalar
+draws through :class:`~netfit.seeds.Draws`, which owns the bit generator
+and gives numpy's values without numpy's per-call cost; Com draws from
+the numpy generator itself.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, fields
-from itertools import accumulate, compress
+from itertools import accumulate
 
 import numpy as np
 
-from .graph import Graph, GraphBuilder
+from .graph import Graph
 from .jdm import JointDegreeMatrix, canonical_key
+from .seeds import Draws
 
 
 class ParameterError(ValueError):
@@ -171,54 +175,58 @@ def generate_ws(params, seed):
     params.validate()
     n, K, p = params.n, params.K, params.p
     k = K // 2
-    rng = np.random.default_rng(seed)
-    builder = GraphBuilder(n)
+    draws = Draws(seed)
+    adj = [set() for _ in range(n)]
     for j in range(1, k + 1):
         for i in range(n):
-            builder.add_edge(i, (i + j) % n)
+            adj[i].add((i + j) % n)
+            adj[(i + j) % n].add(i)
     for j in range(1, k + 1):
         for i in range(n):
-            if rng.random() >= p:
+            if draws.random() >= p:
                 continue
-            old = (i + j) % n
-            blocked = len(builder.neighbors(i)) + 1  # neighbors plus i itself
-            if n - blocked == 0:
+            mine = adj[i]
+            if len(mine) + 1 == n:  # every other node is already a neighbor
                 continue
             while True:
-                cand = int(rng.integers(n))
-                if cand != i and not builder.has_edge(i, cand):
+                cand = draws.integers(n)
+                if cand != i and cand not in mine:
                     break
-            builder.remove_edge(i, old)
-            builder.add_edge(i, cand)
-    return builder.build()
+            old = (i + j) % n
+            mine.discard(old)
+            adj[old].discard(i)
+            mine.add(cand)
+            adj[cand].add(i)
+    return Graph([sorted(nbrs) for nbrs in adj])
 
 
 # ---------------------------------------------------------------------------
 # Clustering Barabasi-Albert
 
 
-def _weighted_pick(rng, repeated, builder, v, n_existing):
+def _weighted_pick(draws, repeated, adj, v):
     """Degree-proportional pick of an attachment target for newcomer v.
 
     Rejection-samples the degree-repeated node list; falls back to an
-    explicit candidate scan if rejections pile up, and to a uniform pick
-    while the graph still has no edges.
+    explicit candidate scan over the nodes before v if rejections pile
+    up, and to a uniform pick while the graph still has no edges.
     """
+    mine = adj[v]
     if repeated:
         for _ in range(64):
-            cand = repeated[int(rng.integers(len(repeated)))]
-            if cand != v and not builder.has_edge(v, cand):
+            cand = repeated[draws.integers(len(repeated))]
+            if cand != v and cand not in mine:
                 return cand
         weights = []
-        for u in range(n_existing):
-            if u != v and not builder.has_edge(v, u):
-                weights.extend([u] * len(builder.neighbors(u)))
+        for u in range(v):
+            if u not in mine:
+                weights.extend([u] * len(adj[u]))
         if weights:
-            return weights[int(rng.integers(len(weights)))]
-    candidates = [u for u in range(n_existing) if u != v and not builder.has_edge(v, u)]
+            return weights[draws.integers(len(weights))]
+    candidates = [u for u in range(v) if u not in mine]
     if not candidates:
         raise GenerationError("no attachment target available")
-    return candidates[int(rng.integers(len(candidates)))]
+    return candidates[draws.integers(len(candidates))]
 
 
 def generate_cba(params, seed):
@@ -232,33 +240,35 @@ def generate_cba(params, seed):
     """
     params.validate()
     n, m, p = params.n, params.m, params.p
-    rng = np.random.default_rng(seed)
-    builder = GraphBuilder(m)
+    draws = Draws(seed)
+    adj = [set() for _ in range(n)]
     repeated = []  # node id repeated once per incident edge endpoint
     for u in range(m):
         for w in range(u + 1, m):
-            builder.add_edge(u, w)
+            adj[u].add(w)
+            adj[w].add(u)
             repeated.extend((u, w))
     for v in range(m, n):
-        builder.add_node()
+        mine = adj[v]
         pa_targets = []
         for link in range(m):
             target = None
             if link > 0:
                 triad_set = set()
                 for u in pa_targets:
-                    triad_set.update(builder.neighbors(u))
+                    triad_set.update(adj[u])
                 triad_set.discard(v)
-                triad_set.difference_update(builder.neighbors(v))
-                if triad_set and rng.random() < p:
+                triad_set.difference_update(mine)
+                if triad_set and draws.random() < p:
                     ordered = sorted(triad_set)
-                    target = ordered[int(rng.integers(len(ordered)))]
+                    target = ordered[draws.integers(len(ordered))]
             if target is None:
-                target = _weighted_pick(rng, repeated, builder, v, v)
+                target = _weighted_pick(draws, repeated, adj, v)
                 pa_targets.append(target)
-            builder.add_edge(v, target)
+            mine.add(target)
+            adj[target].add(v)
             repeated.extend((v, target))
-    return builder.build()
+    return Graph([sorted(nbrs) for nbrs in adj])
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +291,13 @@ def generate_dd(params, seed):
     """
     params.validate()
     n, p = params.n, params.p
-    rng = np.random.default_rng(seed)
+    draws = Draws(seed)
     adj = [[1], [0]]
     failures = 0
     budget = DD_FAILURE_BUDGET_PER_NODE * n
     while len(adj) < n:
-        nbrs = adj[int(rng.integers(len(adj)))]
-        # one coin per neighbor, in row order: the same doubles as one
-        # rng.random() call per neighbor
-        kept = list(compress(nbrs, (rng.random(len(nbrs)) < p).tolist()))
+        nbrs = adj[draws.integers(len(adj))]
+        kept = draws.thin(nbrs, p)  # one coin per neighbor, in row order
         if not kept:
             failures += 1
             if failures > budget:
@@ -316,14 +324,13 @@ def _sample_distinct(rng, total, count):
         return np.zeros(0, dtype=np.int64)
     if count * 8 >= total:
         return rng.choice(total, size=count, replace=False)
-    chosen = set()
-    out = []
-    while len(out) < count:
-        cand = int(rng.integers(total))
-        if cand not in chosen:
-            chosen.add(cand)
-            out.append(cand)
-    return np.asarray(out, dtype=np.int64)
+    # first occurrences in draw order; a batch of the still-missing count
+    # never draws past where one-at-a-time rng.integers(total) calls would
+    # stop, and numpy's size= draws equal that many scalar calls
+    chosen = {}
+    while len(chosen) < count:
+        chosen.update(dict.fromkeys(rng.integers(total, size=count - len(chosen)).tolist()))
+    return np.fromiter(chosen, dtype=np.int64, count=count)
 
 
 def generate_community(params, seed):

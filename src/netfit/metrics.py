@@ -149,27 +149,33 @@ def _assortativity_flagged(g):
     return cov / var, False
 
 
-def local_clustering(g, u):
-    """Fraction of neighbor pairs of u that are themselves linked (0 if deg<2)."""
-    nbrs = g.adjacency[u]
-    d = len(nbrs)
-    if d < 2:
-        return 0.0
-    sets = g.neighbor_sets
-    mine = sets[u]
-    links = 0
-    for v in nbrs:
-        links += len(mine & sets[v])
-    # links counts each neighbor-neighbor edge twice
-    return links / (d * (d - 1))
-
-
 def average_clustering(g):
-    """Mean local clustering coefficient over all nodes."""
+    """Mean local clustering coefficient over all nodes (0 for degree < 2).
+
+    Each undirected edge u-v is intersected once: its triangle count is
+    one link among the neighbors of u and one among those of v. Per node,
+    ``links`` then counts every neighbor-neighbor edge twice. The local
+    values are added in node order, one at a time, so the float result
+    does not depend on how ``sum()`` rounds.
+    """
     n = g.node_count
     if n < 1:
         raise MetricDomainError("average clustering requires at least 1 node")
-    return sum(local_clustering(g, u) for u in range(n)) / n
+    sets = g.neighbor_sets
+    links = [0] * n
+    for u, nbrs in enumerate(g.adjacency):
+        mine = sets[u]
+        for v in nbrs:
+            if v > u:
+                shared = len(mine & sets[v])
+                links[u] += shared
+                links[v] += shared
+    total = 0.0
+    for nbrs, count in zip(g.adjacency, links):
+        d = len(nbrs)
+        if d > 1:
+            total += count / (d * (d - 1))
+    return total / n
 
 
 def max_eigenvector_centrality(g, tol=1e-10, max_iter=10_000):

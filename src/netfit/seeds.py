@@ -1,13 +1,19 @@
-"""Deterministic seed derivation for batch jobs and named subtasks.
+"""Deterministic seed derivation and the scalar draw stream of the generators.
 
-Two patterns: ``xor_index`` for replicate batches (master XOR replicate
-index) and ``derive`` for mixing string context (graph names, model
-names) into a master seed so results never depend on job scheduling.
+Two seed patterns: ``xor_index`` for replicate batches (master XOR
+replicate index) and ``derive`` for mixing string context (graph names,
+model names) into a master seed so results never depend on job
+scheduling. :class:`Draws` gives numpy's scalar ``random()`` and
+``integers(n)`` results without numpy's per-call cost.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+from operator import length_hint
+
+import numpy as np
 
 _MASK = (1 << 63) - 1
 
@@ -25,3 +31,100 @@ def derive(master, *parts):
         h.update(b"\x1f")
         h.update(str(part).encode())
     return int.from_bytes(h.digest()[:8], "big") & _MASK
+
+
+_DRAWS_BLOCK = 256  # raw words fetched from the bit generator at a time
+_LOW32 = (1 << 32) - 1
+
+
+class Draws:
+    """Pure-Python stream of numpy's scalar draws for ``default_rng(seed)``.
+
+    ``random()`` and ``integers(n)`` return, call for call, the same
+    values as ``Generator.random()`` and ``Generator.integers(n)`` on
+    ``numpy.random.default_rng(seed)``, for any interleaving of the two;
+    ``thin`` makes the ``random()`` calls of a row of coins in one pass.
+    Raw 64-bit words come in blocks from the PCG64 bit generator, which a
+    Draws owns: it reads ahead of what it has returned, so no other code
+    may draw from that bit generator.
+
+    ``integers`` follows numpy's 32-bit path: one 32-bit word per try,
+    the low half of a raw word first and its high half kept for the next
+    try (PCG64's ``next_uint32``), then Lemire's multiply-and-reject.
+    ``random()`` takes a whole raw word and leaves a kept half in place.
+    """
+
+    __slots__ = ("_bitgen", "_words", "_next", "_half")
+
+    def __init__(self, seed):
+        self._bitgen = np.random.default_rng(seed).bit_generator
+        self._words = iter(())
+        self._next = self._words.__next__
+        self._half = None  # the high half of the last word split for integers
+
+    def _refill(self, need=1):
+        """Buffer at least ``need`` words, the unread ones first."""
+        words = list(self._words)
+        words += self._bitgen.random_raw(max(_DRAWS_BLOCK, need)).tolist()
+        self._words = iter(words)
+        self._next = self._words.__next__
+
+    def random(self):
+        """Uniform float in [0, 1): the top 53 bits of one raw word."""
+        try:
+            word = self._next()
+        except StopIteration:
+            self._refill()
+            word = self._next()
+        return (word >> 11) * 2.0**-53
+
+    def thin(self, items, p):
+        """The items kept by one coin each, in order: ``[x for x in items if self.random() < p]``.
+
+        ``random() < p`` holds exactly when the top 53 bits of the word
+        are below p * 2**53, so each coin is one integer comparison.
+        """
+        if length_hint(self._words) < len(items):
+            self._refill(len(items))
+        limit = math.ceil(p * 2.0**53) << 11
+        return [x for x, word in zip(items, self._words) if word < limit]
+
+    def _uint32(self):
+        """numpy's next 32-bit word: a kept high half, else the low half of a new word."""
+        u32 = self._half
+        if u32 is not None:
+            self._half = None
+            return u32
+        try:
+            word = self._next()
+        except StopIteration:
+            self._refill()
+            word = self._next()
+        self._half = word >> 32
+        return word & _LOW32
+
+    def integers(self, n):
+        """Uniform int in range(n) for 1 <= n <= 2**32; n == 1 draws nothing."""
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
+        if n == 1:
+            return 0
+        u32 = self._half  # self._uint32(), inlined on this hot path
+        if u32 is None:
+            try:
+                word = self._next()
+            except StopIteration:
+                self._refill()
+                word = self._next()
+            self._half = word >> 32
+            u32 = word & _LOW32
+        else:
+            self._half = None
+        if n == 1 << 32:
+            return u32
+        m = u32 * n
+        if m & _LOW32 < n:
+            threshold = (1 << 32) % n  # numpy's (UINT32_MAX - (n-1)) % n
+            while m & _LOW32 < threshold:
+                m = self._uint32() * n
+        return m >> 32

@@ -56,6 +56,19 @@ def oracle_assortativity(g):
     return float(np.corrcoef(xs, ys)[0, 1])
 
 
+def reference_average_clustering(g):
+    """Node-wise mean of local clustering, summed by ``sum()`` in node order."""
+    sets = g.neighbor_sets
+
+    def local(u):
+        d = len(g.adjacency[u])
+        if d < 2:
+            return 0.0
+        return sum(len(sets[u] & sets[v]) for v in g.adjacency[u]) / (d * (d - 1))
+
+    return sum(local(u) for u in range(g.node_count)) / g.node_count
+
+
 def oracle_average_clustering(g):
     """Neighbor-pair enumeration per node."""
     total = 0.0
@@ -126,6 +139,97 @@ def oracle_jdm_entries(g):
 # Reference generators: the per-edge builder versions the library replaced
 
 
+def reference_generate_ws(params, seed, paths=None):
+    """Watts-Strogatz through a set-based builder, one numpy call per draw.
+
+    ``paths``, when given, is a list that receives "full_row" each time a
+    rewiring is skipped because the node already links to every other.
+    """
+    n, K, p = params.n, params.K, params.p
+    k = K // 2
+    rng = np.random.default_rng(seed)
+    builder = GraphBuilder(n)
+    for j in range(1, k + 1):
+        for i in range(n):
+            builder.add_edge(i, (i + j) % n)
+    for j in range(1, k + 1):
+        for i in range(n):
+            if rng.random() >= p:
+                continue
+            old = (i + j) % n
+            blocked = len(builder.neighbors(i)) + 1  # neighbors plus i itself
+            if n - blocked == 0:
+                if paths is not None:
+                    paths.append("full_row")
+                continue
+            while True:
+                cand = int(rng.integers(n))
+                if cand != i and not builder.has_edge(i, cand):
+                    break
+            builder.remove_edge(i, old)
+            builder.add_edge(i, cand)
+    return builder.build()
+
+
+def _reference_weighted_pick(rng, repeated, builder, v, paths):
+    if repeated:
+        for _ in range(64):
+            cand = repeated[int(rng.integers(len(repeated)))]
+            if cand != v and not builder.has_edge(v, cand):
+                paths.append("repeated")
+                return cand
+        paths.append("fallback")
+        weights = []
+        for u in range(v):
+            if not builder.has_edge(v, u):
+                weights.extend([u] * len(builder.neighbors(u)))
+        if weights:
+            return weights[int(rng.integers(len(weights)))]
+    else:
+        paths.append("uniform")
+    candidates = [u for u in range(v) if not builder.has_edge(v, u)]
+    return candidates[int(rng.integers(len(candidates)))]
+
+
+def reference_generate_cba(params, seed, paths=None):
+    """Clustered BA through a set-based builder, one numpy call per draw.
+
+    ``paths``, when given, is a list that receives the branch each
+    preferential-attachment pick took: "repeated" (rejection sampling
+    succeeded), "fallback" (64 rejections, then the candidate scan) or
+    "uniform" (no edges yet).
+    """
+    n, m, p = params.n, params.m, params.p
+    paths = [] if paths is None else paths
+    rng = np.random.default_rng(seed)
+    builder = GraphBuilder(m)
+    repeated = []
+    for u in range(m):
+        for w in range(u + 1, m):
+            builder.add_edge(u, w)
+            repeated.extend((u, w))
+    for v in range(m, n):
+        builder.add_node()
+        pa_targets = []
+        for link in range(m):
+            target = None
+            if link > 0:
+                triad_set = set()
+                for u in pa_targets:
+                    triad_set.update(builder.neighbors(u))
+                triad_set.discard(v)
+                triad_set.difference_update(builder.neighbors(v))
+                if triad_set and rng.random() < p:
+                    ordered = sorted(triad_set)
+                    target = ordered[int(rng.integers(len(ordered)))]
+            if target is None:
+                target = _reference_weighted_pick(rng, repeated, builder, v, paths)
+                pa_targets.append(target)
+            builder.add_edge(v, target)
+            repeated.extend((v, target))
+    return builder.build()
+
+
 def reference_generate_dd(params, seed):
     """Duplication-divergence through a set-based builder, one coin per call."""
     n, p = params.n, params.p
@@ -154,10 +258,22 @@ def reference_triangular_unrank(cell, s):
     return u, u + 1 + cell
 
 
+def reference_sample_distinct(rng, total, count):
+    """count distinct cells of range(total): one scalar draw at a time when sparse."""
+    if count * 8 >= total:
+        return rng.choice(total, size=count, replace=False)
+    chosen = set()
+    out = []
+    while len(out) < count:
+        cand = int(rng.integers(total))
+        if cand not in chosen:
+            chosen.add(cand)
+            out.append(cand)
+    return out
+
+
 def reference_generate_community(params, seed):
     """Planted partition placing one sampled cell at a time into a builder."""
-    from netfit.generators import _sample_distinct
-
     sizes = params.sizes
     rng = np.random.default_rng(seed)
     builder = GraphBuilder(params.n)
@@ -167,7 +283,7 @@ def reference_generate_community(params, seed):
         if pairs_total == 0 or params.p_in == 0.0:
             continue
         count = int(rng.binomial(pairs_total, params.p_in))
-        for cell in _sample_distinct(rng, pairs_total, count):
+        for cell in reference_sample_distinct(rng, pairs_total, count):
             u, v = reference_triangular_unrank(int(cell), s)
             builder.add_edge(offsets[gi] + u, offsets[gi] + v)
     for gi in range(len(sizes)):
@@ -176,7 +292,7 @@ def reference_generate_community(params, seed):
                 continue
             cells_total = sizes[gi] * sizes[gj]
             count = int(rng.binomial(cells_total, params.p_out))
-            for cell in _sample_distinct(rng, cells_total, count):
+            for cell in reference_sample_distinct(rng, cells_total, count):
                 u, v = divmod(int(cell), sizes[gj])
                 builder.add_edge(offsets[gi] + u, offsets[gj] + v)
     return builder.build()

@@ -11,6 +11,7 @@ from netfit.generators import (
     ParameterError,
     TwoKParams,
     WSParams,
+    _sample_distinct,
     _triangular_unrank,
     generate,
     generate_2k,
@@ -27,8 +28,11 @@ from netfit.metrics import average_clustering, density, joint_degree_matrix
 from helpers import (
     graph_from_edges,
     pseudo_real_graph,
+    reference_generate_cba,
     reference_generate_community,
     reference_generate_dd,
+    reference_generate_ws,
+    reference_sample_distinct,
     reference_triangular_unrank,
 )
 
@@ -72,6 +76,22 @@ class TestWattsStrogatz:
         with pytest.raises(ParameterError):
             generate_ws(WSParams(n, K, p), 0)
 
+    @pytest.mark.parametrize(
+        "n,K,p",
+        [(3, 2, 1.0), (12, 10, 1.0), (12, 10, 0.5), (30, 4, 0.0), (30, 4, 0.05),
+         (57, 6, 0.3), (200, 8, 0.01), (101, 10, 1.0)],
+    )
+    def test_matches_builder_reference(self, n, K, p):
+        for seed in (0, 1, 17, 2024):
+            params = WSParams(n, K, p)
+            assert generate_ws(params, seed).adjacency == \
+                reference_generate_ws(params, seed).adjacency
+
+    def test_reference_grid_reaches_full_row_skip(self):
+        paths = []
+        reference_generate_ws(WSParams(12, 10, 1.0), 0, paths)
+        assert "full_row" in paths
+
 
 class TestClusteringBA:
     def test_m1_gives_trees(self):
@@ -109,6 +129,25 @@ class TestClusteringBA:
     def test_invalid_params(self, n, m, p):
         with pytest.raises(ParameterError):
             generate_cba(CBAParams(n, m, p), 0)
+
+    CBA_GRID = [(2, 1, 0.0), (12, 1, 0.5), (40, 2, 0.0), (60, 3, 0.7), (54, 2, 1.0),
+                (31, 30, 0.0), (300, 4, 0.3)]
+
+    @pytest.mark.parametrize("n,m,p", CBA_GRID)
+    def test_matches_builder_reference(self, n, m, p):
+        for seed in (0, 1, 6, 2024):
+            params = CBAParams(n, m, p)
+            assert generate_cba(params, seed).adjacency == \
+                reference_generate_cba(params, seed).adjacency
+
+    def test_reference_grid_reaches_every_pick_branch(self):
+        paths = set()
+        for n, m, p in self.CBA_GRID:
+            for seed in (0, 1, 6, 2024):
+                found = []
+                reference_generate_cba(CBAParams(n, m, p), seed, found)
+                paths.update(found)
+        assert paths == {"repeated", "fallback", "uniform"}
 
 
 class TestDuplicationDivergence:
@@ -204,6 +243,22 @@ class TestCommunity:
         for seed in (0, 5, 99):
             assert generate_community(params, seed).adjacency == \
                 reference_generate_community(params, seed).adjacency
+
+
+class TestSampleDistinct:
+    @pytest.mark.parametrize(
+        "total,count",
+        [(100, 12), (9, 1), (1000, 0), (1000, 124), (2**32 - 5, 50), (2**32, 7),
+         (2**32 + 1, 40), (3 * 2**40, 100), (2**62, 3)],
+    )
+    def test_batches_match_scalar_draws(self, total, count):
+        for seed in range(5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _sample_distinct(rng, total, count)
+            assert got.dtype == np.int64
+            assert got.tolist() == reference_sample_distinct(ref, total, count)
+            # both generators stop at the same draw
+            assert rng.integers(2**63) == ref.integers(2**63)
 
 
 class TestTriangularUnrank:

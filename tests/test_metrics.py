@@ -21,7 +21,26 @@ from netfit.metrics import (
     max_eigenvector_centrality,
 )
 
-from helpers import ORACLES, graph_from_edges, oracle_jdm_entries, random_connected_graph
+from netfit.generators import (
+    CBAParams,
+    CommunityParams,
+    DDParams,
+    WSParams,
+    generate_2k,
+    generate_cba,
+    generate_community,
+    generate_dd,
+    generate_ws,
+)
+
+from helpers import (
+    ORACLES,
+    graph_from_edges,
+    oracle_jdm_entries,
+    pseudo_real_graph,
+    random_connected_graph,
+    reference_average_clustering,
+)
 
 TRIANGLE = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
 PATH3 = graph_from_edges(3, [(0, 1), (1, 2)])
@@ -91,6 +110,24 @@ class TestClustering:
     def test_k4_minus_edge(self):
         # degree-3 nodes see 2 of 3 neighbor pairs linked, degree-2 nodes 1 of 1
         assert average_clustering(K4_MINUS_EDGE) == pytest.approx(5 / 6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edgewise_counts_equal_nodewise_sum_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        sources = [
+            generate_ws(WSParams(60, 6, 0.2), seed),
+            generate_ws(WSParams(500, 10, 0.05), seed),
+            generate_cba(CBAParams(80, 3, 0.6), seed),
+            generate_cba(CBAParams(400, 4, 0.9), seed),
+            generate_dd(DDParams(90, 0.4), seed),
+            generate_dd(DDParams(300, 0.9), seed),
+            generate_community(CommunityParams((30, 30, 5), 0.3, 0.05), seed),
+            pseudo_real_graph(rng, 120),
+        ]
+        sources.append(generate_2k(joint_degree_matrix(sources[-1])))
+        sources.append(random_connected_graph(rng))
+        for g in sources:
+            assert average_clustering(g).hex() == reference_average_clustering(g).hex()
 
 
 class TestEigenvectorCentrality:

@@ -1,0 +1,63 @@
+import random
+
+import numpy as np
+import pytest
+
+from netfit.seeds import Draws
+
+BOUNDS = (1, 2, 3, 2**31, 2**32 - 1, 2**32)
+
+
+def assert_same_bits(got, expected):
+    assert type(got) is type(expected)
+    if isinstance(got, float):
+        assert got.hex() == expected.hex()
+    else:
+        assert got == expected
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**63 - 1])
+    def test_mixed_sequence_matches_numpy(self, seed):
+        # more than one raw-word block, with integers leaving a kept half
+        # word across random() calls and across block refills
+        chooser = random.Random(seed)
+        draws, rng = Draws(seed), np.random.default_rng(seed)
+        for _ in range(3000):
+            if chooser.random() < 0.4:
+                assert_same_bits(draws.random(), rng.random())
+            else:
+                n = chooser.choice(BOUNDS + (chooser.randrange(1, 100),
+                                             chooser.randrange(1, 2**32 + 1)))
+                assert_same_bits(draws.integers(n), int(rng.integers(n)))
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.3, 0.5, 1 - 2**-53, 1.0])
+    def test_thin_is_one_random_per_item(self, p):
+        chooser = random.Random(11)
+        draws, rng = Draws(4), np.random.default_rng(4)
+        for _ in range(300):
+            items = list(range(chooser.choice((0, 1, 5, 40, 300, 1000))))
+            assert draws.thin(items, p) == [x for x in items if rng.random() < p]
+            assert draws.integers(7) == int(rng.integers(7))  # leaves a kept half word
+
+    def test_thin_coin_is_strict(self):
+        # p equal to the coin's own value is not kept, as random() < p
+        p = np.random.default_rng(9).random()
+        assert Draws(9).thin(["a"], p) == []
+        assert Draws(9).thin(["a"], np.nextafter(p, 1.0)) == ["a"]
+
+    def test_integers_one_draws_nothing(self):
+        draws, rng = Draws(5), np.random.default_rng(5)
+        assert [draws.integers(1) for _ in range(10)] == [0] * 10
+        assert draws.integers(2**32) == int(rng.integers(2**32))
+
+    def test_rejection_path(self):
+        # n just above 2**31 rejects about half of all 32-bit words
+        draws, rng = Draws(3), np.random.default_rng(3)
+        for _ in range(2000):
+            assert draws.integers(2**31 + 1) == int(rng.integers(2**31 + 1))
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2**64])
+    def test_bounds_out_of_range_refused(self, n):
+        with pytest.raises(ValueError, match="1 <= n <= 2\\*\\*32"):
+            Draws(0).integers(n)

@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Check that this checkout writes the same bytes as a git ref at fixed seeds.
+
+Exports ``<git-ref>`` with ``git archive`` into a temporary directory,
+then runs one fixed-seed command set through each tree's ``netfit`` CLI
+on the same inputs (this checkout's bundled corpus):
+
+- ``pipeline --seed 7`` with ``--jobs 1`` and with ``--jobs 2``;
+- ``gof`` on the pipeline's dataset;
+- ``classify`` for the three tasks with both tree and forest;
+- ``stability`` on one corpus graph;
+- ``fit --model all``, then ``generate`` from every report and one
+  ``measure`` over the generated graphs.
+
+Each command's output files, stdout, stderr and exit code are kept, and
+the two output trees are compared with ``diff -r``. The working tree is
+only read. Run from anywhere inside the checkout:
+
+    python3 tools/same_outputs.py HEAD~
+
+Exit status: 0 when every output is byte-identical; 1 when any differs,
+or when a command of this checkout exits non-zero; 2 when git cannot
+export the ref.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "netfit" / "data" / "corpus"
+SEED = "7"
+GRAPH = CORPUS / "brain_04.txt"
+
+
+def command_set():
+    """(log name, netfit arguments) in run order; output paths are relative."""
+    steps = [
+        ("pipeline_jobs1", ["pipeline", CORPUS / "manifest.csv", "--seed", SEED,
+                            "--jobs", "1", "--out", "pipeline_jobs1"]),
+        ("pipeline_jobs2", ["pipeline", CORPUS / "manifest.csv", "--seed", SEED,
+                            "--jobs", "2", "--out", "pipeline_jobs2"]),
+        ("gof", ["gof", "pipeline_jobs1/dataset.csv", "--out", "gof"]),
+    ]
+    for task in ("domain", "category", "subcategory"):
+        for model in ("tree", "forest"):
+            steps.append((f"classify_{task}_{model}",
+                          ["classify", "pipeline_jobs1/dataset.csv", "--task", task,
+                           "--model", model, "--seed", SEED, "--out", "classify"]))
+    steps.append(("stability", ["stability", GRAPH, "--seed", SEED, "--out", "stability"]))
+    steps.append(("fit", ["fit", GRAPH, "--model", "all", "--seed", SEED, "--out", "fit"]))
+    return steps
+
+
+def run(src, out_dir):
+    """Run the command set with ``src`` on the path; logs go to out_dir/logs.
+
+    Returns the names of the commands that exited non-zero.
+    """
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    logs = out_dir / "logs"
+    logs.mkdir(parents=True)
+    (out_dir / "generate").mkdir()
+    failed = []
+
+    def netfit(name, args):
+        done = subprocess.run([sys.executable, "-m", "netfit.cli", *map(str, args)],
+                              cwd=out_dir, env=env, capture_output=True, text=True)
+        (logs / f"{name}.txt").write_text(
+            f"exit {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}")
+        if done.returncode != 0:
+            failed.append(name)
+
+    for name, args in command_set():
+        print(f"  {name}", flush=True)
+        netfit(name, args)
+    reports = sorted(p.name for p in (out_dir / "fit").glob("*.json"))
+    for report in reports:
+        stem = report.removesuffix(".json")
+        netfit(f"generate_{stem}", ["generate", f"fit/{report}", "--seed", SEED,
+                                    "--out", f"generate/{stem}.txt"])
+    netfit("measure", ["measure", *(f"generate/{r.removesuffix('.json')}.txt" for r in reports),
+                       "--out", "measure.csv"])
+    return failed
+
+
+def export(ref, dest):
+    """Extract ``git archive <ref>`` into dest; SystemExit(2) if git refuses."""
+    dest.mkdir(parents=True)
+    archive = dest.parent / "ref.tar"
+    done = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "-o", str(archive),
+                           ref], capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(2)
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(dest)], check=True)
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: same_outputs.py <git-ref>", file=sys.stderr)
+        return 2
+    ref = argv[0]
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        tmp = Path(tmp)
+        export(ref, tmp / "ref")
+        failed = {}
+        for side, src in (("ref", tmp / "ref" / "src"), ("work", ROOT / "src")):
+            print(f"{side}: {ref if side == 'ref' else ROOT}", flush=True)
+            failed[side] = run(src, tmp / "out" / side)
+        diff = subprocess.run(["diff", "-r", "ref", "work"], cwd=tmp / "out",
+                              capture_output=True, text=True)
+        sys.stdout.write(diff.stdout)
+        if diff.returncode != 0:
+            print(f"outputs differ from {ref}")
+            return 1
+    if failed["work"]:
+        # identical failures compare equal, but prove nothing about the outputs
+        print(f"outputs identical, but these commands failed: {', '.join(failed['work'])}")
+        return 1
+    print(f"all outputs byte-identical to {ref}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
