@@ -11,7 +11,6 @@ from .graph import (
     ComponentLabeling,
     EdgeListError,
     Graph,
-    GraphBuilder,
     connected_components,
     degree_sequence,
     load_edge_list,

@@ -37,7 +37,7 @@ TASKS = ("domain", "category", "subcategory")
 
 
 class ClassSupportError(ValueError):
-    """A class has too few samples for the requested evaluation."""
+    """The data has too few samples or classes for the requested evaluation."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def stratified_kfold(labels, k, seed=0):
     if k < 2:
         raise ValueError("need at least 2 folds")
     if k > n:
-        raise ValueError(f"cannot split {n} samples into {k} folds")
+        raise ClassSupportError(f"cannot split {n} samples into {k} folds")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     assigned = 0

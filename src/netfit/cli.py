@@ -18,7 +18,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import seeds
-from .dataset import DOMAINS, DatasetError, DatasetRow, DatasetTable, write_feature_csv
+from .dataset import DOMAINS, DatasetError, DatasetRow, DatasetTable, csv_text, write_feature_csv
 from .fitting import DEFAULT_BUDGET, DEFAULT_REPLICATES, MODELS, fit_model, params_from_json_obj
 from .generators import generate
 from .gof import correlation_matrix, mean_distance_matrix, pca_project
@@ -34,7 +34,7 @@ class InputError(ValueError):
 
 
 def _read_config(path):
-    """Parse a `key = value` config file into a defaults dict."""
+    """Parse a `key = value` config file into {key: (raw value, "config <path>:<line>")}."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
@@ -43,16 +43,35 @@ def _read_config(path):
         if "=" not in stripped:
             raise InputError(f"config {path}:{lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        raw = raw.strip()
-        if key in ("seed", "jobs", "replicates", "folds", "budget", "fit_replicates"):
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                raise InputError(f"config {path}:{lineno}: {key} must be an integer") from None
-        else:
-            values[key] = raw
+        values[key.strip().replace("-", "_")] = (raw.strip(), f"config {path}:{lineno}")
     return values
+
+
+def _config_value(action, raw, where):
+    """A config value through its option's own ``type`` and ``choices``."""
+    value = raw
+    if action.type is not None:
+        try:
+            value = action.type(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise InputError(f"{where}: {action.dest} {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise InputError(f"{where}: {action.dest} must be one of "
+                         f"{', '.join(action.choices)}, got {value!r}")
+    return value
+
+
+def _integer(low=None):
+    """argparse ``type``: an integer, at least ``low`` when given."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("must be an integer") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _resolve_seed(args):
@@ -278,28 +297,26 @@ def cmd_stability(args):
 
 
 def cmd_classify(args):
-    from .classify import run_task
+    from .classify import ClassSupportError, run_task
 
     seed = _resolve_seed(args)
     table = DatasetTable.from_csv(args.dataset)
     out_dir = Path(args.out)
+    domains = [None] if args.task == "domain" else table.domains_present()
     reports = []
-    if args.task == "domain":
-        reports.append(run_task(table, "domain", model=args.model, k=args.folds, seed=seed))
-    else:
-        for domain in table.domains_present():
-            reports.append(
-                run_task(table, args.task, model=args.model, k=args.folds, seed=seed,
-                         domain=domain)
-            )
+    for domain in domains:
+        try:
+            reports.append(run_task(table, args.task, model=args.model, k=args.folds,
+                                    seed=seed, domain=domain))
+        except ClassSupportError as exc:
+            where = f"dataset {args.dataset}" + (f" ({domain})" if domain else "")
+            raise InputError(f"{where}: {exc}") from None
     for report in reports:
         suffix = f"_{report.domain}" if report.domain else ""
         stem = f"eval_{report.task}_{report.model}{suffix}"
         _write(out_dir / f"{stem}.json", _json_text(report.to_json_obj()))
-        lines = [",".join([""] + list(report.class_names))]
-        for cname, row in zip(report.class_names, report.confusion):
-            lines.append(",".join([cname] + [str(v) for v in row]))
-        _write(out_dir / f"{stem}_confusion.csv", "\n".join(lines) + "\n")
+        rows = [[cname, *row] for cname, row in zip(report.class_names, report.confusion)]
+        _write(out_dir / f"{stem}_confusion.csv", csv_text(["", *report.class_names], rows))
         headline = (
             f"AUC {report.auc!r}" if report.auc is not None
             else f"accuracy {report.pooled_accuracy!r}"
@@ -315,9 +332,10 @@ def cmd_classify(args):
 def build_parser():
     """Parser with sentinel defaults so a config file can fill gaps.
 
-    Every overridable option defaults to _UNSET and records its real
-    default in the ``resolved`` map; main() applies explicit flag >
-    config value > real default.
+    Every overridable option defaults to _UNSET and records its action
+    and real default in the command's ``options`` map; main() applies
+    explicit flag > config value > real default, and a config value goes
+    through the same ``type`` and ``choices`` as the flag.
     """
     parser = argparse.ArgumentParser(
         prog="netfit",
@@ -328,14 +346,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def opt(p, name, real_default, **kwargs):
-        p.add_argument(name, default=_UNSET, **kwargs)
-        p._real_defaults[name.lstrip("-").replace("-", "_")] = real_default
+        action = p.add_argument(name, default=_UNSET, **kwargs)
+        p._options[action.dest] = (action, real_default)
 
     def new_command(name, func, help_text, needs_out=False):
         p = sub.add_parser(name, help=help_text)
-        p._real_defaults = {}
-        p.set_defaults(func=func, needs_out=needs_out,
-                       real_defaults=p._real_defaults)
+        p._options = {}
+        p.set_defaults(func=func, needs_out=needs_out, options=p._options)
         return p
 
     p = new_command("measure", cmd_measure, "feature CSV for edge-list files")
@@ -346,23 +363,23 @@ def build_parser():
                     needs_out=True)
     p.add_argument("path")
     opt(p, "--model", "all", choices=["all"] + [spec.name for spec in MODELS])
-    opt(p, "--budget", DEFAULT_BUDGET, type=int)
-    opt(p, "--fit-replicates", DEFAULT_REPLICATES, type=int)
-    opt(p, "--seed", None, type=int)
+    opt(p, "--budget", DEFAULT_BUDGET, type=_integer(1))
+    opt(p, "--fit-replicates", DEFAULT_REPLICATES, type=_integer(1))
+    opt(p, "--seed", None, type=_integer(0))
     opt(p, "--out", None, help="output directory")
 
     p = new_command("generate", cmd_generate, "generate a graph from a params JSON")
     p.add_argument("params")
-    opt(p, "--seed", None, type=int)
+    opt(p, "--seed", None, type=_integer(0))
     opt(p, "--out", None, help="output edge list (default stdout)")
 
     p = new_command("pipeline", cmd_pipeline, "fit+generate+measure a whole manifest",
                     needs_out=True)
     p.add_argument("manifest", help="CSV with header name,path,domain")
-    opt(p, "--jobs", 1, type=int)
-    opt(p, "--budget", DEFAULT_BUDGET, type=int)
-    opt(p, "--fit-replicates", DEFAULT_REPLICATES, type=int)
-    opt(p, "--seed", None, type=int)
+    opt(p, "--jobs", 1, type=_integer())
+    opt(p, "--budget", DEFAULT_BUDGET, type=_integer(1))
+    opt(p, "--fit-replicates", DEFAULT_REPLICATES, type=_integer(1))
+    opt(p, "--seed", None, type=_integer(0))
     opt(p, "--out", None, help="output directory")
 
     p = new_command("gof", cmd_gof, "distance/correlation/PCA reports from a dataset CSV",
@@ -373,10 +390,10 @@ def build_parser():
     p = new_command("stability", cmd_stability,
                     "replicate fitted models and summarize metrics", needs_out=True)
     p.add_argument("path")
-    opt(p, "--replicates", 30, type=int)
-    opt(p, "--budget", DEFAULT_BUDGET, type=int)
-    opt(p, "--fit-replicates", DEFAULT_REPLICATES, type=int)
-    opt(p, "--seed", None, type=int)
+    opt(p, "--replicates", 30, type=_integer(2))
+    opt(p, "--budget", DEFAULT_BUDGET, type=_integer(1))
+    opt(p, "--fit-replicates", DEFAULT_REPLICATES, type=_integer(1))
+    opt(p, "--seed", None, type=_integer(0))
     opt(p, "--out", None, help="output directory")
 
     p = new_command("classify", cmd_classify, "run a classification task on a dataset CSV",
@@ -384,8 +401,8 @@ def build_parser():
     p.add_argument("dataset")
     p.add_argument("--task", required=True, choices=("domain", "category", "subcategory"))
     opt(p, "--model", "forest", choices=("tree", "forest"))
-    opt(p, "--folds", 5, type=int)
-    opt(p, "--seed", None, type=int)
+    opt(p, "--folds", 5, type=_integer(2))
+    opt(p, "--seed", None, type=_integer(0))
     opt(p, "--out", None, help="output directory")
     return parser
 
@@ -395,9 +412,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _read_config(args.config) if args.config else {}
-        for key, real_default in getattr(args, "real_defaults", {}).items():
-            if getattr(args, key, None) is _UNSET:
-                setattr(args, key, config.get(key, real_default))
+        for key, (action, real_default) in args.options.items():
+            if getattr(args, key) is _UNSET:
+                setattr(args, key,
+                        _config_value(action, *config[key]) if key in config else real_default)
         if getattr(args, "needs_out", False) and not args.out:
             parser.error(f"{args.command}: --out is required (flag or config file)")
         return args.func(args)

@@ -49,14 +49,11 @@ class DistanceMatrix:
         return self.entries[domain].get((sub_a, sub_b))
 
     def to_csv_text(self, domain):
-        lines = ["," + ",".join(self.subcategories)]
+        rows = []
         for sub_a in self.subcategories:
-            cells = []
-            for sub_b in self.subcategories:
-                entry = self.entries[domain].get((sub_a, sub_b))
-                cells.append("" if entry is None else repr(entry[0]))
-            lines.append(sub_a + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+            cells = [self.entries[domain].get((sub_a, sub_b)) for sub_b in self.subcategories]
+            rows.append([sub_a] + ["" if entry is None else repr(entry[0]) for entry in cells])
+        return csv_text(["", *self.subcategories], rows)
 
 
 def mean_distance_matrix(table):
@@ -98,10 +95,9 @@ class CorrelationMatrix:
     degenerate: tuple  # metric names with zero variance (entries forced to 0)
 
     def to_csv_text(self):
-        lines = ["," + ",".join(METRIC_FIELDS)]
-        for name, row in zip(METRIC_FIELDS, self.matrix):
-            lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        rows = [[name] + [repr(float(v)) for v in row]
+                for name, row in zip(METRIC_FIELDS, self.matrix)]
+        return csv_text(["", *METRIC_FIELDS], rows)
 
 
 def correlation_matrix(table, domain=None):

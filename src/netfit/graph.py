@@ -3,9 +3,8 @@
 Every other module works on the :class:`Graph` defined here: a simple
 (no self-loops, no parallel edges), undirected, unweighted graph with
 nodes densely numbered ``0..n-1``. Graphs are immutable once built.
-Code that adds edges in arbitrary order goes through :class:`GraphBuilder`;
-generators that can emit sorted rows directly pass them to :class:`Graph`,
-which checks every row either way.
+Code that adds edges in arbitrary order collects them in per-node sets
+and passes the sorted rows to :class:`Graph`, which checks every row.
 """
 
 from __future__ import annotations
@@ -23,84 +22,40 @@ class EdgeListError(ValueError):
     """Raised for malformed or empty edge-list input."""
 
 
-class GraphBuilder:
-    """Mutable accumulator of undirected edges; ``build()`` freezes a Graph.
-
-    Single-owner: not safe to share across threads. Self-loops and
-    duplicate edges are silently ignored so callers can feed raw pairs.
-    """
-
-    def __init__(self, node_count=0):
-        self._adj = [set() for _ in range(node_count)]
-
-    @property
-    def node_count(self):
-        return len(self._adj)
-
-    def add_node(self):
-        self._adj.append(set())
-        return len(self._adj) - 1
-
-    def ensure_node(self, u):
-        while u >= len(self._adj):
-            self.add_node()
-
-    def add_edge(self, u, v):
-        """Add undirected edge u-v; ignores self-loops and duplicates."""
-        if u == v:
-            return False
-        self.ensure_node(max(u, v))
-        if v in self._adj[u]:
-            return False
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        return True
-
-    def remove_edge(self, u, v):
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-
-    def has_edge(self, u, v):
-        return u < len(self._adj) and v in self._adj[u]
-
-    def degree(self, u):
-        return len(self._adj[u])
-
-    def neighbors(self, u):
-        return self._adj[u]
-
-    def build(self, labels=None):
-        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in self._adj)
-        return Graph(adjacency, labels=labels)
-
-
 class Graph:
     """Immutable simple undirected graph over nodes ``0..n-1``.
 
     ``adjacency`` is a tuple of sorted neighbor tuples; symmetry and
     simplicity are enforced at construction by numpy checks over the
-    concatenated rows, O(m log m) for m edges. ``labels`` keeps the
-    original node tokens for round-trip serialization (defaults to the
-    decimal ids). Instances are safe to share across threads.
+    concatenated rows, O(m log m) for m edges. The check's arrays are
+    kept read-only: ``degree_array`` (row lengths) and ``edge_endpoints``
+    (src, dst), both orientations of every edge in row order. ``labels``
+    keeps the original node tokens for round-trip serialization
+    (defaults to the decimal ids). Instances are safe to share across
+    threads.
     """
 
-    __slots__ = ("adjacency", "node_count", "edge_count", "labels", "_cache")
+    __slots__ = ("adjacency", "node_count", "edge_count", "labels", "degree_array",
+                 "edge_endpoints")
 
     def __init__(self, adjacency, labels=None):
         adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
         n = len(adjacency)
-        total = _check_adjacency(adjacency)
+        deg, src, dst = _check_adjacency(adjacency)
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         else:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("labels length mismatch")
+        for arr in (deg, src, dst):
+            arr.setflags(write=False)
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "node_count", n)
-        object.__setattr__(self, "edge_count", total // 2)
+        object.__setattr__(self, "edge_count", len(dst) // 2)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "degree_array", deg)
+        object.__setattr__(self, "edge_endpoints", (src, dst))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -120,9 +75,6 @@ class Graph:
     def neighbors(self, u):
         return self.adjacency[u]
 
-    def has_edge(self, u, v):
-        return v in self.neighbor_sets[u]
-
     def edges(self):
         """Yield each undirected edge once as (u, v) with u < v, in id order."""
         for u, nbrs in enumerate(self.adjacency):
@@ -130,42 +82,9 @@ class Graph:
                 if v > u:
                     yield (u, v)
 
-    @property
-    def neighbor_sets(self):
-        """Per-node frozensets of neighbors, built lazily for membership tests."""
-        sets = self._cache.get("sets")
-        if sets is None:
-            sets = tuple(frozenset(nbrs) for nbrs in self.adjacency)
-            self._cache["sets"] = sets
-        return sets
-
-    @property
-    def degree_array(self):
-        arr = self._cache.get("deg")
-        if arr is None:
-            arr = np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.int64)
-            arr.setflags(write=False)
-            self._cache["deg"] = arr
-        return arr
-
-    @property
-    def edge_endpoints(self):
-        """Directed endpoint arrays (src, dst) covering both orientations."""
-        pair = self._cache.get("ends")
-        if pair is None:
-            deg = self.degree_array
-            src = np.repeat(np.arange(self.node_count, dtype=np.int64), deg)
-            dst = np.concatenate([np.asarray(nbrs, dtype=np.int64) for nbrs in self.adjacency]) \
-                if self.node_count else np.zeros(0, dtype=np.int64)
-            src.setflags(write=False)
-            dst.setflags(write=False)
-            pair = (src, dst)
-            self._cache["ends"] = pair
-        return pair
-
 
 def _check_adjacency(adjacency):
-    """Total degree of a valid adjacency; ValueError naming the first fault.
+    """(deg, src, dst) arrays of a valid adjacency; ValueError naming the first fault.
 
     Each row must be strictly increasing, in range and free of its own
     node, and every u-v entry needs its v-u partner. Rows are scanned in
@@ -205,7 +124,7 @@ def _check_adjacency(adjacency):
         raise ValueError(f"edge {int(src[i])}-{int(dst[i])} not symmetric")
     if total % 2:
         raise ValueError("odd total degree")
-    return total
+    return deg, src, dst
 
 
 def parse_edge_list(text):
@@ -223,8 +142,7 @@ def parse_edge_list(text):
     """
     ids = {}
     labels = []
-    builder = GraphBuilder()
-    saw_edge = False
+    adj = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(COMMENT_PREFIXES):
@@ -239,12 +157,13 @@ def parse_edge_list(text):
             if tok not in ids:
                 ids[tok] = len(labels)
                 labels.append(tok)
-                builder.add_node()
-        builder.add_edge(ids[a], ids[b])
-        saw_edge = True
-    if not saw_edge:
+                adj.append(set())
+        u, v = ids[a], ids[b]
+        adj[u].add(v)
+        adj[v].add(u)
+    if not labels:
         raise EdgeListError("no usable edges in input")
-    return builder.build(labels=labels)
+    return Graph([sorted(nbrs) for nbrs in adj], labels=labels)
 
 
 def serialize_edge_list(g):

@@ -59,15 +59,6 @@ class JointDegreeMatrix:
     def edge_total(self):
         return sum(self.entries.values())
 
-    def node_total(self):
-        return sum(self.degree_counts.values())
-
-    def degrees(self):
-        return sorted(self.degree_counts)
-
-    def get(self, k, l):
-        return self.entries.get(canonical_key(k, l), 0)
-
     def to_json_obj(self):
         return {
             "entries": [[k, l, c] for (k, l), c in sorted(self.entries.items())],

@@ -161,7 +161,7 @@ def average_clustering(g):
     n = g.node_count
     if n < 1:
         raise MetricDomainError("average clustering requires at least 1 node")
-    sets = g.neighbor_sets
+    sets = [set(nbrs) for nbrs in g.adjacency]
     links = [0] * n
     for u, nbrs in enumerate(g.adjacency):
         mine = sets[u]

@@ -12,7 +12,58 @@ import itertools
 
 import numpy as np
 
-from netfit.graph import Graph, GraphBuilder
+from netfit.graph import Graph
+
+
+class GraphBuilder:
+    """Mutable accumulator of undirected edges; ``build()`` freezes a Graph.
+
+    Single-owner: not safe to share across threads. Self-loops and
+    duplicate edges are silently ignored so callers can feed raw pairs.
+    """
+
+    def __init__(self, node_count=0):
+        self._adj = [set() for _ in range(node_count)]
+
+    @property
+    def node_count(self):
+        return len(self._adj)
+
+    def add_node(self):
+        self._adj.append(set())
+        return len(self._adj) - 1
+
+    def ensure_node(self, u):
+        while u >= len(self._adj):
+            self.add_node()
+
+    def add_edge(self, u, v):
+        """Add undirected edge u-v; ignores self-loops and duplicates."""
+        if u == v:
+            return False
+        self.ensure_node(max(u, v))
+        if v in self._adj[u]:
+            return False
+        self._adj[u].add(v)
+        self._adj[v].add(u)
+        return True
+
+    def remove_edge(self, u, v):
+        self._adj[u].discard(v)
+        self._adj[v].discard(u)
+
+    def has_edge(self, u, v):
+        return u < len(self._adj) and v in self._adj[u]
+
+    def degree(self, u):
+        return len(self._adj[u])
+
+    def neighbors(self, u):
+        return self._adj[u]
+
+    def build(self, labels=None):
+        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in self._adj)
+        return Graph(adjacency, labels=labels)
 
 
 def graph_from_edges(n, edges):
@@ -58,7 +109,7 @@ def oracle_assortativity(g):
 
 def reference_average_clustering(g):
     """Node-wise mean of local clustering, summed by ``sum()`` in node order."""
-    sets = g.neighbor_sets
+    sets = [set(nbrs) for nbrs in g.adjacency]
 
     def local(u):
         d = len(g.adjacency[u])
@@ -77,7 +128,7 @@ def oracle_average_clustering(g):
         if len(nbrs) < 2:
             continue
         linked = sum(
-            1 for s, t in itertools.combinations(nbrs, 2) if t in g.neighbor_sets[s]
+            1 for s, t in itertools.combinations(nbrs, 2) if t in g.adjacency[s]
         )
         total += linked / (len(nbrs) * (len(nbrs) - 1) / 2)
     return total / g.node_count

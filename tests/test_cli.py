@@ -311,6 +311,60 @@ class TestConfigFile:
         assert not (tmp_path / "f").exists()
 
 
+class TestBadOptionValues:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fit", "{graph}", "--fit-replicates", "0"],
+             "argument --fit-replicates: must be at least 1, got 0"),
+            (["stability", "{graph}", "--replicates", "1"],
+             "argument --replicates: must be at least 2, got 1"),
+            (["stability", "{graph}", "--budget", "0"],
+             "argument --budget: must be at least 1, got 0"),
+            (["pipeline", "{manifest}", "--budget", "0"],
+             "argument --budget: must be at least 1, got 0"),
+            (["generate", "{params}", "--seed", "-1"],
+             "argument --seed: must be at least 0, got -1"),
+            (["classify", "{dataset}", "--task", "domain", "--folds", "1"],
+             "argument --folds: must be at least 2, got 1"),
+            (["classify", "{dataset}", "--task", "domain", "--folds", "100"],
+             "error: dataset {dataset}: cannot split 4 samples into 100 folds"),
+            (["--config", "{svm_config}", "classify", "{dataset}", "--task", "domain"],
+             "error: config {svm_config}:1: model must be one of tree, forest, got 'svm'"),
+            (["--config", "{folds_config}", "classify", "{dataset}", "--task", "category"],
+             "error: config {folds_config}:1: folds must be at least 2, got 1"),
+        ],
+        ids=["fit-replicates-0", "replicates-1", "stability-budget-0", "pipeline-budget-0",
+             "generate-seed-minus-1", "folds-1", "folds-100", "config-model-svm", "config-folds-1"],
+    )
+    def test_exit_2_before_any_work(self, tmp_path, capsys, argv, message):
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_text("\n".join([",".join(CSV_HEADER)] + [
+            f"{name},10,0.5,0.1,0.2,3.0,0.4,1.5,0.3,{domain},real,Real"
+            for name, domain in [("a", "food"), ("b", "food"), ("c", "chems"), ("d", "chems")]
+        ]) + "\n")
+        paths = {"graph": corpus_manifest().parent / "chems_04.txt",
+                 "manifest": corpus_manifest(), "dataset": dataset,
+                 "svm_config": tmp_path / "svm.cfg", "folds_config": tmp_path / "folds.cfg",
+                 "params": tmp_path / "ws.json"}
+        paths["svm_config"].write_text("model = svm\n")
+        paths["folds_config"].write_text("folds = 1\n")
+        paths["params"].write_text('{"model": "WS", "params": {"n": 10, "K": 2, "p": 0.5}}')
+        out = tmp_path / "out"
+        argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
+        if "--seed" not in argv:
+            argv += ["--seed", "1"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(message.format(**paths))
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEntropySeed:
     def test_missing_seed_is_announced(self, tmp_path, capsys):
         graph = corpus_manifest().parent / "chems_04.txt"

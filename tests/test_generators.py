@@ -40,7 +40,7 @@ from helpers import (
 def count_triangles(g):
     total = 0
     for u, v in g.edges():
-        total += len(g.neighbor_sets[u] & g.neighbor_sets[v])
+        total += len(set(g.adjacency[u]) & set(g.adjacency[v]))
     return total // 3
 
 

@@ -1,11 +1,23 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netfit.data import corpus_manifest
+from netfit.generators import (
+    CBAParams,
+    CommunityParams,
+    DDParams,
+    TwoKParams,
+    WSParams,
+    generate,
+)
 from netfit.graph import (
     EdgeListError,
     Graph,
-    GraphBuilder,
     connected_components,
     degree_sequence,
     parse_edge_list,
@@ -13,7 +25,20 @@ from netfit.graph import (
     serialize_edge_list,
 )
 
-from helpers import graph_from_edges
+from netfit.metrics import joint_degree_matrix
+
+from helpers import GraphBuilder, graph_from_edges
+
+
+def _load_make_corpus():
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+make_corpus = _load_make_corpus()
 
 
 class TestParseEdgeList:
@@ -143,4 +168,58 @@ class TestRelabel:
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
         h = relabel(g, (3, 2, 1, 0))
         assert sorted(degree_sequence(h)) == sorted(degree_sequence(g))
-        assert h.has_edge(3, 2) and h.has_edge(1, 0)
+        assert 2 in h.neighbors(3) and 0 in h.neighbors(1)
+
+
+class TestMakeCorpus:
+    RECIPES = list(make_corpus.corpus_recipes())
+
+    @pytest.mark.parametrize("name,domain,seed", RECIPES, ids=[r[0] for r in RECIPES])
+    def test_reproduces_bundled_graph(self, name, domain, seed):
+        g = make_corpus.build_graph(np.random.default_rng(seed), domain)
+        bundled = corpus_manifest().parent / f"{name}.txt"
+        assert serialize_edge_list(g) == bundled.read_text(encoding="utf-8")
+
+    def test_names_match_manifest(self):
+        rows = corpus_manifest().read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [r[0] for r in self.RECIPES]
+
+
+def _kept_array_graphs():
+    cba = generate(CBAParams(30, 3, 0.5), 2)
+    return {
+        "empty": Graph(()),
+        "isolated": graph_from_edges(4, []),
+        "triangle": graph_from_edges(3, [(0, 1), (1, 2), (2, 0)]),
+        "triangle-and-isolated": graph_from_edges(5, [(0, 3), (0, 4), (3, 4)]),
+        "WS": generate(WSParams(30, 4, 0.2), 1),
+        "CBA": cba,
+        "DD": generate(DDParams(30, 0.6), 3),
+        "Com": generate(CommunityParams((10, 12), 0.5, 0.1), 4),
+        "2K": generate(TwoKParams(joint_degree_matrix(cba)), 5),
+        "parsed": parse_edge_list("b a\na c\nc b\nd a\n"),
+    }
+
+
+KEPT_ARRAY_GRAPHS = _kept_array_graphs()
+
+
+@pytest.mark.parametrize("g", KEPT_ARRAY_GRAPHS.values(), ids=KEPT_ARRAY_GRAPHS.keys())
+class TestKeptArrays:
+    def test_read_only_and_same_object(self, g):
+        deg, (src, dst) = g.degree_array, g.edge_endpoints
+        assert g.degree_array is deg
+        assert g.edge_endpoints[0] is src and g.edge_endpoints[1] is dst
+        for arr in (deg, src, dst):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = 0
+
+    def test_equal_the_rows(self, g):
+        deg = [len(nbrs) for nbrs in g.adjacency]
+        src, dst = g.edge_endpoints
+        assert g.degree_array.dtype == src.dtype == dst.dtype == np.int64
+        assert g.degree_array.tolist() == deg
+        assert src.tolist() == np.repeat(np.arange(g.node_count), deg).tolist()
+        assert dst.tolist() == [v for nbrs in g.adjacency for v in nbrs]
+        assert len(dst) == 2 * g.edge_count

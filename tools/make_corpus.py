@@ -21,7 +21,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from netfit.generators import CommunityParams, generate_community  # noqa: E402
-from netfit.graph import GraphBuilder, save_edge_list  # noqa: E402
+from netfit.graph import Graph, save_edge_list  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "netfit" / "data" / "corpus"
 
@@ -53,36 +53,45 @@ def build_graph(rng, domain):
         ),
         int(rng.integers(2**48)),
     )
-    builder = GraphBuilder(size)
-    for u, v in core.edges():
-        builder.add_edge(u, v)
+    adj = [set(nbrs) for nbrs in core.adjacency]
+
+    def link(u, v):
+        adj[u].add(v)
+        adj[v].add(u)
+
     hubs = rng.choice(size, size=max(1, int(hub_fraction * size)), replace=False)
     for hub in sorted(int(h) for h in hubs):
         extra = int(rng.integers(2, max(3, size // 12)))
         for _ in range(extra):
-            weights = np.array([builder.degree(u) + 1 for u in range(size)], dtype=float)
+            weights = np.array([len(nbrs) + 1 for nbrs in adj], dtype=float)
             weights[hub] = 0.0
-            target = int(rng.choice(size, p=weights / weights.sum()))
-            builder.add_edge(hub, target)
+            link(hub, int(rng.choice(size, p=weights / weights.sum())))
     for u in range(size):
-        if builder.degree(u) == 0:
+        if not adj[u]:
             other = int(rng.integers(size - 1))
-            builder.add_edge(u, other if other < u else other + 1)
-    return builder.build()
+            link(u, other if other < u else other + 1)
+    return Graph([sorted(nbrs) for nbrs in adj])
+
+
+def corpus_recipes():
+    """(name, domain, seed) of each corpus graph, five per domain.
+
+    The seed is fixed per name (never Python's salted hash()).
+    """
+    for domain in PROFILES:
+        for i in range(5):
+            name = f"{domain}_{i:02d}"
+            yield name, domain, sum(ord(c) for c in name) * 7919 + i
 
 
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for domain in PROFILES:
-        for i in range(5):
-            name = f"{domain}_{i:02d}"
-            # fixed per-name seed (never Python's salted hash())
-            rng = np.random.default_rng(sum(ord(c) for c in name) * 7919 + i)
-            g = build_graph(rng, domain)
-            save_edge_list(g, OUT / f"{name}.txt")
-            manifest.append((name, f"{name}.txt", domain))
-            print(f"{name}: n={g.node_count} m={g.edge_count}")
+    for name, domain, seed in corpus_recipes():
+        g = build_graph(np.random.default_rng(seed), domain)
+        save_edge_list(g, OUT / f"{name}.txt")
+        manifest.append((name, f"{name}.txt", domain))
+        print(f"{name}: n={g.node_count} m={g.edge_count}")
     with open(OUT / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "path", "domain"])
