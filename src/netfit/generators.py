@@ -2,26 +2,26 @@
 
 Watts-Strogatz (WS), clustering Barabasi-Albert (CBA), duplication-
 divergence (DD), community structure / planted partition (Com) and the
-2K construction that realizes a target joint degree matrix exactly.
+random 2K construction that realizes a target joint degree matrix
+exactly.
 
 Every generator returns a simple :class:`~netfit.graph.Graph` and is
 deterministic for a given (params, seed) pair. Randomness comes from
-``numpy.random.default_rng(seed)`` only: WS, CBA and DD take its scalar
-draws through :class:`~netfit.seeds.Draws`, which owns the bit generator
-and gives numpy's values without numpy's per-call cost; Com draws from
-the numpy generator itself.
+``numpy.random.default_rng(seed)`` only: WS, CBA, DD and 2K take its
+scalar draws through :class:`~netfit.seeds.Draws`, which owns the bit
+generator and gives numpy's values without numpy's per-call cost; Com
+draws from the numpy generator itself.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, fields
 from itertools import accumulate
 
 import numpy as np
 
 from .graph import Graph
-from .jdm import JointDegreeMatrix, canonical_key
+from .jdm import JointDegreeMatrix
 from .seeds import Draws
 
 
@@ -30,7 +30,7 @@ class ParameterError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """2K wiring could not proceed (bug or non-graphical input)."""
+    """2K construction could not proceed (a bug: validated input always can)."""
 
 
 class GenerationError(RuntimeError):
@@ -438,123 +438,115 @@ def validate_jdm(jdm):
     return JdmValidation(valid=not violations, violations=tuple(violations), degree_counts=counts)
 
 
-class _StubPool:
-    """Free-stub bookkeeping for one degree class: lowest-id-first access."""
+def generate_2k(jdm, seed):
+    """Random simple graph realizing the given joint degree matrix exactly.
 
-    def __init__(self, members, free):
-        self.members = members  # ascending node ids of this class
-        self.free = free  # shared free-stub array
-        self.heap = list(members)
-        heapq.heapify(self.heap)
-
-    def push(self, v):
-        heapq.heappush(self.heap, v)
-
-    def iter_free(self):
-        """Yield nodes with free stubs in ascending id order."""
-        seen = set()
-        kept = []
-        try:
-            while self.heap:
-                v = heapq.heappop(self.heap)
-                if self.free[v] <= 0 or v in seen:
-                    continue
-                seen.add(v)
-                kept.append(v)
-                yield v
-        finally:
-            for v in kept:
-                heapq.heappush(self.heap, v)
-
-    def saturated(self):
-        return [v for v in self.members if self.free[v] <= 0]
-
-
-def generate_2k(jdm, seed=None):
-    """Simple graph realizing the given joint degree matrix exactly.
-
-    Wires free stubs class pair by class pair (decreasing k+l), always
-    pairing the lowest-id nodes that still have free stubs. When a wanted
-    endpoint is saturated, a Neighbour Switch hands one of its edges to a
-    same-class node with a free stub, which changes neither the degree
-    demands nor the class edge counts. The construction itself is
-    deterministic; ``seed`` is accepted for generator-interface
-    uniformity only.
+    Nodes are numbered class by class in ascending degree. Class pairs
+    are wired in sorted (k, l) order, one edge at a time: a uniform node
+    of class k and one of class l are drawn, and the draw is rejected if
+    they are the same node or already linked. A drawn node with no free
+    stub first gets one by a Neighbour Switch, which hands one of its
+    edges to a random same-class node that has a free stub; that keeps
+    every class pair's edge count (Stanton & Pinar 2012; Gjoka, Tillman
+    & Markopoulou 2015). Once fewer than half the draws of a class pair
+    would be accepted, its remaining edges are drawn from the list of
+    its open node pairs instead, so no entry near its cap costs more
+    than O(n_k * n_l) per class pair.
     """
     report = validate_jdm(jdm)
     if not report.valid:
         raise ParameterError("invalid joint degree matrix: " + "; ".join(report.violations))
     counts = report.degree_counts
-    degrees_sorted = sorted(counts)
-    members = {k: [] for k in degrees_sorted}
+    start = {}  # first node id of each degree class
     target = []
-    for k in degrees_sorted:
-        for _ in range(counts[k]):
-            v = len(target)
-            target.append(k)
-            members[k].append(v)
+    for k in sorted(counts):
+        start[k] = len(target)
+        target.extend([k] * counts[k])
     n = len(target)
     free = list(target)
     adj = [set() for _ in range(n)]
-    pools = {k: _StubPool(members[k], free) for k in degrees_sorted}
+    # per class, the nodes with a free stub; slot[v] is v's index there
+    unsat = {k: list(range(start[k], start[k] + counts[k])) for k in counts}
+    slot = [v - start[k] for v, k in enumerate(target)]
+    draws = Draws(seed)
 
-    def neighbour_switch(v, klass, protected):
-        """Free one stub on saturated v by re-homing one of its edges."""
-        for donor in pools[klass].iter_free():
-            if donor == v:
-                continue
-            if donor in protected and free[donor] < 2:
-                continue
-            for t in sorted(adj[v]):
-                if t != donor and t not in adj[donor]:
-                    adj[v].discard(t)
-                    adj[t].discard(v)
-                    adj[donor].add(t)
-                    adj[t].add(donor)
-                    free[v] += 1
-                    free[donor] -= 1
-                    pools[klass].push(v)
-                    return
-            # theory says a transferable neighbor always exists; keep
-            # scanning donors defensively rather than trusting it
-        raise ConstructionError(f"no switch partner for node {v} in degree class {klass}")
+    def take_stub(v):
+        free[v] -= 1
+        if free[v] == 0:
+            members = unsat[target[v]]
+            last = members.pop()
+            if last != v:
+                members[slot[v]] = last
+                slot[last] = slot[v]
 
-    def find_pair(k, l):
-        for v in pools[k].iter_free():
-            for w in pools[l].iter_free():
-                if v != w and w not in adj[v]:
-                    return v, w
-        free_k = list(pools[k].iter_free())
-        free_l = list(pools[l].iter_free())
-        for v in free_k:
-            for w in pools[l].saturated():
-                if v != w and w not in adj[v]:
-                    return v, w
-        for w in free_l:
-            for v in pools[k].saturated():
-                if v != w and w not in adj[v]:
-                    return v, w
-        for v in pools[k].saturated():
-            for w in pools[l].saturated():
-                if v != w and w not in adj[v]:
-                    return v, w
-        raise ConstructionError(f"no unconnected node pair left for class ({k},{l})")
+    def neighbour_switch(v, keep):
+        """Free one stub on saturated v; returns the neighbour it let go.
 
-    order = sorted(jdm.entries, key=lambda kl: (-(kl[0] + kl[1]), -kl[1], -kl[0]))
-    for k, l in order:
-        for _ in range(jdm.entries[canonical_key(k, l)]):
-            v, w = find_pair(k, l)
-            if free[v] <= 0:
-                neighbour_switch(v, k, (w,))
-            if free[w] <= 0:
-                neighbour_switch(w, l, (v,))
+        ``keep`` is not chosen as the new endpoint when it is in v's
+        class and has only the one free stub its next edge needs.
+        """
+        members = unsat[target[v]]
+        if target[keep] == target[v] and free[keep] == 1:
+            donor = members[draws.integers(len(members) - 1)]
+            if donor == keep:
+                donor = members[-1]
+        else:
+            donor = members[draws.integers(len(members))]
+        theirs = adj[donor]
+        movable = adj[v] - theirs
+        movable.discard(donor)
+        if not movable:  # the switch lemma says this cannot happen
+            raise ConstructionError(f"no switch partner for node {v}")
+        movable = sorted(movable)
+        t = movable[draws.integers(len(movable))]
+        adj[v].remove(t)
+        adj[t].remove(v)
+        theirs.add(t)
+        adj[t].add(donor)
+        slot[v] = len(members)
+        members.append(v)
+        free[v] += 1
+        take_stub(donor)
+        return t
+
+    for k, l in sorted(jdm.entries):
+        count = jdm.entries[(k, l)]
+        if count == 0:
+            continue
+        nk, nl, sk, sl = counts[k], counts[l], start[k], start[l]
+        # cap node pairs, each hit by `hits` of the nk * nl possible draws
+        cap = nk * (nk - 1) // 2 if k == l else nk * nl
+        hits = 2 if k == l else 1
+        open_pairs = None
+        placed = 0
+        while placed < count:
+            if open_pairs is None and 2 * hits * (cap - placed) < nk * nl:
+                open_pairs = [(v, w) for v in range(sk, sk + nk)
+                              for w in range(v + 1 if k == l else sl, sl + nl)
+                              if w not in adj[v]]
+            if open_pairs is None:
+                v = sk + draws.integers(nk)
+                w = sl + draws.integers(nl)
+                if v == w or w in adj[v]:
+                    continue
+            else:
+                i = draws.integers(len(open_pairs))
+                v, w = open_pairs[i]
+                open_pairs[i] = open_pairs[-1]
+                open_pairs.pop()
+                if w in adj[v]:  # linked by a switch since it was listed
+                    continue
+            for a, b in ((v, w), (w, v)):
+                if free[a] == 0:
+                    t = neighbour_switch(a, b)
+                    if open_pairs is not None and target[t] == (l if target[a] == k else k):
+                        open_pairs.append((a, t) if target[a] == k else (t, a))
             adj[v].add(w)
             adj[w].add(v)
-            free[v] -= 1
-            free[w] -= 1
-    if any(free):
-        raise ConstructionError("free stubs remain after wiring all classes")
-    return Graph(tuple(tuple(sorted(s)) for s in adj))
+            take_stub(v)
+            take_stub(w)
+            placed += 1
+    return Graph([sorted(nbrs) for nbrs in adj])
 
 
 _GENERATORS = {

@@ -98,16 +98,17 @@ def _edge_degree_pair_counts(g):
 
     Aggregating by degree class before summing makes the downstream
     moments independent of edge order, so two graphs with equal joint
-    degree matrices produce bitwise-identical assortativity values.
+    degree matrices produce bitwise-identical assortativity values. Each
+    edge is counted once, from its src < dst orientation, under the key
+    low * base + high of its endpoint degrees.
     """
     deg = g.degree_array
-    pairs = Counter()
-    for u, v in g.edges():
-        a, b = int(deg[u]), int(deg[v])
-        if a > b:
-            a, b = b, a
-        pairs[(a, b)] += 1
-    return pairs
+    src, dst = g.edge_endpoints
+    once = src < dst
+    a, b = deg[src[once]], deg[dst[once]]
+    base = int(deg.max(initial=0)) + 1
+    keys, counts = np.unique(np.minimum(a, b) * base + np.maximum(a, b), return_counts=True)
+    return Counter({divmod(key, base): c for key, c in zip(keys.tolist(), counts.tolist())})
 
 
 def assortativity(g):

@@ -9,6 +9,7 @@ so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -184,6 +185,18 @@ def oracle_jdm_entries(g):
         key = tuple(sorted((deg[u], deg[v])))
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def reference_edge_degree_pair_counts(g):
+    """The per-edge loop ``metrics._edge_degree_pair_counts`` replaced."""
+    deg = g.degree_array
+    pairs = Counter()
+    for u, v in g.edges():
+        a, b = int(deg[u]), int(deg[v])
+        if a > b:
+            a, b = b, a
+        pairs[(a, b)] += 1
+    return pairs
 
 
 # ---------------------------------------------------------------------------

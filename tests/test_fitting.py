@@ -322,7 +322,7 @@ class TestFit2K:
 
         g = generate_cba(CBAParams(60, 2, 0.4), 5)
         fit = fit_2k(g)
-        h = generate_2k(fit.params.jdm)
+        h = generate_2k(fit.params.jdm, 0)
         assert density(h) == pytest.approx(density(g), abs=1e-12)
 
 

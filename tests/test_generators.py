@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from netfit.generators import (
 )
 from netfit.graph import connected_components, degree_sequence
 from netfit.jdm import JointDegreeMatrix
-from netfit.metrics import average_clustering, density, joint_degree_matrix
+from netfit.metrics import (
+    average_clustering,
+    average_path_length_normalized,
+    density,
+    joint_degree_matrix,
+)
 
 from helpers import (
     graph_from_edges,
@@ -308,19 +314,30 @@ class TestValidateJdm:
         assert report.valid
 
 
+STAR_HEAVY = graph_from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (4, 5), (4, 6)])
+
+
+def _complete(n):
+    return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _mean_distance(g):
+    return average_path_length_normalized(g) * (g.node_count - 1)
+
+
 class TestGenerate2K:
     def test_unique_triangle(self):
-        g = generate_2k(JointDegreeMatrix({(2, 2): 3}))
+        g = generate_2k(JointDegreeMatrix({(2, 2): 3}), 0)
         assert degree_sequence(g) == (2, 2, 2)
         assert g.edge_count == 3
 
     def test_path3(self):
-        g = generate_2k(JointDegreeMatrix({(1, 2): 2}))
+        g = generate_2k(JointDegreeMatrix({(1, 2): 2}), 0)
         assert sorted(degree_sequence(g)) == [1, 1, 2]
 
     def test_invalid_input_raises(self):
         with pytest.raises(ParameterError):
-            generate_2k(JointDegreeMatrix({(1, 2): 3}))
+            generate_2k(JointDegreeMatrix({(1, 2): 3}), 0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_round_trip_mixed_generators(self, seed):
@@ -341,10 +358,82 @@ class TestGenerate2K:
 
     def test_star_heavy_jdm_needs_switches(self):
         # hub-and-spoke classes force saturated pairings, exercising the switch
-        g = graph_from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (4, 5), (4, 6)])
-        jdm = joint_degree_matrix(g)
-        out = generate_2k(jdm)
+        jdm = joint_degree_matrix(STAR_HEAVY)
+        out = generate_2k(jdm, 0)
         assert joint_degree_matrix(out).entries == jdm.entries
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_cba(CBAParams(1000, 4, 0.3), 5),
+        lambda: generate_dd(DDParams(1200, 0.4), 5),
+        lambda: pseudo_real_graph(np.random.default_rng(5), 1500),
+    ], ids=["cba", "dd", "pseudo_real"])
+    def test_round_trip_at_scale(self, make):
+        source = make()
+        jdm = joint_degree_matrix(source)
+        for seed in range(5):
+            out = generate_2k(jdm, seed)
+            assert joint_degree_matrix(out).entries == jdm.entries
+            assert sorted(degree_sequence(out)) == sorted(degree_sequence(source))
+
+    def test_seed_decides_the_graph(self):
+        jdm = joint_degree_matrix(generate_cba(CBAParams(300, 3, 0.4), 1))
+        assert generate_2k(jdm, 11).adjacency == generate_2k(jdm, 11).adjacency
+        assert generate_2k(jdm, 11) != generate_2k(jdm, 12)
+
+    def test_dense_jdms_exact_and_fast(self):
+        # entries at their cap leave one realization up to labels; the
+        # open-pair list keeps the last edges of a class pair from
+        # costing O(n_k * n_l) draws each, and the dense random graphs
+        # make switches reopen and close listed pairs
+        rng = np.random.default_rng(8)
+        sources = [
+            _complete(60),
+            graph_from_edges(50, [(u, v) for u in range(20) for v in range(20, 50)]),
+            STAR_HEAVY,
+            _complete(200),
+        ]
+        while len(sources) < 60:
+            n, p = int(rng.integers(6, 16)), rng.uniform(0.5, 1.0)
+            g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < p])
+            if min(degree_sequence(g)) >= 1:
+                sources.append(g)
+        start = time.perf_counter()
+        for src in sources:
+            jdm = joint_degree_matrix(src)
+            for seed in range(5):
+                assert joint_degree_matrix(generate_2k(jdm, seed)).entries == jdm.entries
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"dense JDMs took {elapsed:.1f}s"
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_mean_distance_near_the_source(self, n):
+        src = generate_cba(CBAParams(n, 4, 0.3), 5)
+        want = _mean_distance(src)
+        got = _mean_distance(generate_2k(joint_degree_matrix(src), 5))
+        assert abs(got - want) <= 0.1 * want, f"2K mean distance {got:.2f}, source {want:.2f}"
+
+    def test_samples_like_networkx_ones(self):
+        nx = pytest.importorskip("networkx")
+        src = generate_cba(CBAParams(1000, 4, 0.3), 5)
+        jdm = joint_degree_matrix(src)
+        # networkx's dict of dicts, both orientations; it counts a
+        # diagonal entry's edges twice
+        joint = {}
+        for (k, l), c in jdm.entries.items():
+            joint.setdefault(k, {})[l] = 2 * c if k == l else c
+            joint.setdefault(l, {})[k] = 2 * c if k == l else c
+        ours, theirs = [], []
+        for seed in range(4):
+            ours.append(generate_2k(jdm, seed))
+            h = nx.joint_degree_graph(joint, seed=seed)
+            theirs.append(graph_from_edges(h.number_of_nodes(), list(h.edges())))
+        for graphs in (ours, theirs):
+            assert all(joint_degree_matrix(g).entries == jdm.entries for g in graphs)
+        dist = [np.mean([_mean_distance(g) for g in gs]) for gs in (ours, theirs)]
+        clust = [np.mean([average_clustering(g) for g in gs]) for gs in (ours, theirs)]
+        assert abs(dist[0] - dist[1]) <= 0.03 * dist[1], dist
+        assert abs(clust[0] - clust[1]) <= 0.01, clust
 
 
 SAMPLE_PARAMS = {

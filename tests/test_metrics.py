@@ -1,14 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netfit.graph import relabel
+from netfit.graph import load_edge_list, relabel
 from netfit.metrics import (
     METRIC_FIELDS,
     MetricDomainError,
+    _edge_degree_pair_counts,
     assortativity,
     assortativity_is_degenerate,
     average_clustering,
@@ -40,7 +42,10 @@ from helpers import (
     pseudo_real_graph,
     random_connected_graph,
     reference_average_clustering,
+    reference_edge_degree_pair_counts,
 )
+
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "netfit" / "data" / "corpus"
 
 TRIANGLE = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
 PATH3 = graph_from_edges(3, [(0, 1), (1, 2)])
@@ -124,7 +129,7 @@ class TestClustering:
             generate_community(CommunityParams((30, 30, 5), 0.3, 0.05), seed),
             pseudo_real_graph(rng, 120),
         ]
-        sources.append(generate_2k(joint_degree_matrix(sources[-1])))
+        sources.append(generate_2k(joint_degree_matrix(sources[-1]), seed))
         sources.append(random_connected_graph(rng))
         for g in sources:
             assert average_clustering(g).hex() == reference_average_clustering(g).hex()
@@ -236,6 +241,34 @@ class TestJointDegreeMatrix:
             jdm = joint_degree_matrix(g)
             assert jdm.edge_total() == g.edge_count
             assert jdm.entries == oracle_jdm_entries(g)
+
+
+def _same_pair_counts(g):
+    counts = _edge_degree_pair_counts(g)
+    assert counts == reference_edge_degree_pair_counts(g)
+    assert all(type(x) is int for key, c in counts.items() for x in (*key, c))
+
+
+class TestEdgeDegreePairCounts:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_generator_matches_the_edge_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        sources = [
+            generate_ws(WSParams(200, 6, 0.2), seed),
+            generate_cba(CBAParams(300, 4, 0.5), seed),
+            generate_dd(DDParams(300, 0.5), seed),
+            generate_community(CommunityParams((40, 40, 5), 0.3, 0.02), seed),
+            pseudo_real_graph(rng, 150),
+        ]
+        sources.append(generate_2k(joint_degree_matrix(sources[-1]), seed))
+        for g in sources:
+            _same_pair_counts(g)
+
+    def test_corpus_matches_the_edge_loop(self):
+        paths = sorted(CORPUS.glob("*.txt"))
+        assert paths
+        for path in paths:
+            _same_pair_counts(load_edge_list(path))
 
 
 class TestOracleAgreement:
