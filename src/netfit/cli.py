@@ -23,7 +23,7 @@ from .fitting import DEFAULT_BUDGET, DEFAULT_REPLICATES, MODELS, fit_model, para
 from .generators import generate
 from .gof import correlation_matrix, mean_distance_matrix, pca_project
 from .graph import EdgeListError, load_edge_list, save_edge_list, serialize_edge_list
-from .metrics import feature_vector
+from .metrics import PowerIterationError, feature_vector
 from .stability import stability_run
 
 _UNSET = object()  # distinguishes "flag not given" from an explicit value
@@ -109,7 +109,7 @@ def cmd_measure(args):
         try:
             g = load_edge_list(path)
             rows.append((Path(path).stem, feature_vector(g)))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, PowerIterationError) as exc:
             failures += 1
             named = isinstance(exc, (EdgeListError, OSError))  # these name the file
             print(f"error: {exc}" if named else f"error: {path}: {exc}", file=sys.stderr)
@@ -211,7 +211,7 @@ def _pipeline_one(entry, master_seed, budget, fit_replicates):
     try:
         g = load_edge_list(path)
         rows.append(DatasetRow(name, feature_vector(g), domain, "real", "Real"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, PowerIterationError) as exc:
         return [], {}, [f"{name}: {exc}"]
     for model in (spec.name for spec in MODELS):
         try:

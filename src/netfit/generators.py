@@ -250,21 +250,17 @@ def generate_cba(params, seed):
             repeated.extend((u, w))
     for v in range(m, n):
         mine = adj[v]
-        pa_targets = []
-        for link in range(m):
+        # neighbours of this step's PA targets that v does not link to yet
+        triad_set = set()
+        for _ in range(m):
             target = None
-            if link > 0:
-                triad_set = set()
-                for u in pa_targets:
-                    triad_set.update(adj[u])
-                triad_set.discard(v)
-                triad_set.difference_update(mine)
-                if triad_set and draws.random() < p:
-                    ordered = sorted(triad_set)
-                    target = ordered[draws.integers(len(ordered))]
+            if triad_set and draws.random() < p:
+                ordered = sorted(triad_set)
+                target = ordered[draws.integers(len(ordered))]
             if target is None:
                 target = _weighted_pick(draws, repeated, adj, v)
-                pa_targets.append(target)
+                triad_set.update(adj[target] - mine)
+            triad_set.discard(target)
             mine.add(target)
             adj[target].add(v)
             repeated.extend((v, target))

@@ -4,7 +4,9 @@ Seven topological measures (density, assortativity, average local
 clustering, average degree, maximum eigenvector centrality, normalized
 average path length, degree-distribution skewness) plus the node count
 form the feature vector used throughout the pipeline. All functions are
-pure; results do not depend on node labeling.
+pure; results do not depend on node labeling. Path length sums exact
+integer distances from a word-parallel multi-source BFS whose memory is
+bounded by ``_PATH_WORDS`` words per bit plane.
 
 Conventions, chosen so every feature row is finite:
   - local clustering of a node with degree < 2 is 0;
@@ -205,41 +207,132 @@ def max_eigenvector_centrality(g, tol=1e-10, max_iter=10_000):
     raise PowerIterationError(residual, max_iter)
 
 
+#: Words per bit plane of the path-length BFS: a (rows, w) uint64 plane
+#: holds at most this many (512 KiB), or one word per row past 2^16 rows.
+#: Of 2^15 to 2^19, 2^16 was fastest on graphs of 10^3 to 3*10^4 nodes.
+_PATH_WORDS = 1 << 16
+#: Neighbour slots gathered one degree-ordered prefix at a time; the
+#: rest of a hub's row goes through one reduceat.
+_PATH_SLOTS = 32
+#: A round pushes from its active rows when they hold at most
+#: 1/_PATH_PUSH of all adjacency entries (and no more entries than rows).
+_PATH_PUSH = 8
+
+
 def _distance_totals(g):
     """(sum of distances, count) over ordered reachable pairs u != v.
 
-    Runs all BFS sweeps simultaneously: each node carries a bitmask of
-    sources that have reached it, and one synchronous round advances
-    every frontier by one hop. Cost is O(diameter * m) big-int ops.
+    Multi-source BFS with one bit per source (Then et al., "The More the
+    Merrier", VLDB 2014). Sources run in blocks of 64 * w, and each
+    (rows, w) uint64 plane holds at most max(n, ``_PATH_WORDS``) words
+    and serves every block, so memory is O(n * w) plus the O(m) index
+    arrays, not O(n^2). Each round ORs the neighbours' frontier words,
+    keeps the bits not yet seen and adds dist * their count to Python
+    integers, so the totals are exact.
+
+    Rows are ordered by degree, descending, so the k-th neighbour slot of
+    every row is a prefix: a round pulls slot k with one ``take`` and an
+    in-place OR over the first c_k rows, for the first ``_PATH_SLOTS``
+    slots, and ORs the hub tails with ``reduceat`` in chunks of at most
+    one plane. A round whose active rows hold few entries pushes from
+    those rows only. Isolated nodes take no part.
     """
-    n = g.node_count
-    adj = g.adjacency
-    reach = [1 << u for u in range(n)]
-    alive = range(n)
+    deg = g.degree_array
+    order = np.argsort(-deg, kind="stable")
+    n = int(np.count_nonzero(deg))
+    if n == 0:
+        return 0, 0
+    order = order[:n]
+    sdeg = deg[order]
+    rank = np.zeros(g.node_count, dtype=np.int64)
+    rank[order] = np.arange(n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sdeg, out=indptr[1:])
+    nnz = int(indptr[-1])
+    _, dst = g.edge_endpoints
+    old_start = np.cumsum(deg) - deg
+    indices = rank[dst[_row_positions(old_start[order], sdeg, nnz)]]
+
+    # slot k: the k-th neighbour of each of the c_k rows of degree > k
+    ks = np.arange(min(_PATH_SLOTS, int(sdeg[0])))
+    slots = [indices[indptr[:c] + k]
+             for k, c in enumerate(np.searchsorted(-sdeg, -ks).tolist())]
+    # hub tails: rows of degree > _PATH_SLOTS from that slot on, in row
+    # chunks of at most n entries, so one gather fits one plane
+    tails = []
+    c = int(np.count_nonzero(sdeg > _PATH_SLOTS))
+    r0 = 0
+    while r0 < c:
+        ends = np.cumsum(sdeg[r0:c] - _PATH_SLOTS)
+        r1 = r0 + max(1, int(np.searchsorted(ends, n, side="right")))
+        lens = sdeg[r0:r1] - _PATH_SLOTS
+        size = int(ends[r1 - r0 - 1])
+        tails.append((r0, r1, indices[_row_positions(indptr[r0:r1] + _PATH_SLOTS, lens, size)],
+                      np.cumsum(lens) - lens))
+        r0 = r1
+
+    # w is a power of two unless one block takes every source: numpy's
+    # take copies 8-, 16- and 32-byte rows fastest
+    w = min(-(-n // 64), 1 << max(0, (_PATH_WORDS // n).bit_length() - 1))
+    front = np.zeros((n, w), dtype=np.uint64)
+    nxt = np.empty_like(front)
+    unseen = np.empty_like(front)
+    tmp = np.empty_like(front)
+    counts = np.empty(front.shape, dtype=np.uint8)
     total = 0
     pairs = 0
-    dist = 0
-    while alive:
-        dist += 1
-        nxt = {}
-        for u in alive:
-            acc = reach[u]
-            for v in adj[u]:
-                acc |= reach[v]
-            if acc != reach[u]:
-                nxt[u] = acc
-        if not nxt:
-            break
-        touched = set()
-        for u, acc in nxt.items():
-            new = (acc ^ reach[u]).bit_count()
-            total += dist * new
-            pairs += new
-            reach[u] = acc
-            touched.update(adj[u])
-        # only nodes adjacent to a change can change next round
-        alive = sorted(touched)
+    for s0 in range(0, n, 64 * w):
+        # a block ends with no active row, so front is all zero here
+        active = np.arange(s0, min(n, s0 + 64 * w))
+        bit = active - s0
+        front[active, bit >> 6] = np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64))
+        np.invert(front, out=unseen)
+        dist = 0
+        while len(active):
+            dist += 1
+            lens = sdeg[active]
+            e = int(lens.sum())
+            if e <= n and e * _PATH_PUSH <= nnz:
+                # push: OR each active row into its neighbours, grouped by target
+                tgt = indices[_row_positions(indptr[active], lens, e)]
+                by_tgt = np.argsort(tgt)
+                tgt = tgt[by_tgt]
+                heads = np.flatnonzero(np.concatenate(([True], tgt[1:] != tgt[:-1])))
+                rows = tgt[heads]
+                new = np.bitwise_or.reduceat(front[np.repeat(active, lens)[by_tgt]], heads, axis=0)
+                new &= unseen[rows]
+                live = new.any(axis=1)
+                rows, new = rows[live], new[live]
+                front[active] = 0
+                front[rows] = new
+                unseen[rows] ^= new
+                found = int(np.bitwise_count(new).sum())
+                active = rows
+            else:
+                front.take(slots[0], axis=0, out=nxt)
+                for slot in slots[1:]:
+                    c = len(slot)
+                    front.take(slot, axis=0, out=tmp[:c])
+                    np.bitwise_or(nxt[:c], tmp[:c], out=nxt[:c])
+                for r0, r1, idx, heads in tails:
+                    front.take(idx, axis=0, out=tmp[: len(idx)])
+                    nxt[r0:r1] |= np.bitwise_or.reduceat(tmp[: len(idx)], heads, axis=0)
+                np.bitwise_and(nxt, unseen, out=nxt)
+                np.bitwise_xor(unseen, nxt, out=unseen)
+                found = int(np.bitwise_count(nxt, out=counts).sum())
+                live = nxt[:, 0] != 0
+                for j in range(1, w):
+                    live |= nxt[:, j] != 0
+                active = np.flatnonzero(live)
+                front, nxt = nxt, front
+            total += dist * found
+            pairs += found
     return total, pairs
+
+
+def _row_positions(starts, lens, size):
+    """Concatenated ranges starts[i] .. starts[i] + lens[i] - 1 (size = lens.sum())."""
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(size)
 
 
 def average_path_length_normalized(g):

@@ -187,6 +187,43 @@ def oracle_jdm_entries(g):
     return out
 
 
+def reference_distance_totals(g):
+    """The big-int BFS that ``metrics._distance_totals`` replaced.
+
+    (sum of distances, count) over ordered reachable pairs u != v. Each
+    node carries an n-bit integer of the sources that have reached it,
+    and one synchronous round advances every frontier by one hop.
+    """
+    n = g.node_count
+    adj = g.adjacency
+    reach = [1 << u for u in range(n)]
+    alive = range(n)
+    total = 0
+    pairs = 0
+    dist = 0
+    while alive:
+        dist += 1
+        nxt = {}
+        for u in alive:
+            acc = reach[u]
+            for v in adj[u]:
+                acc |= reach[v]
+            if acc != reach[u]:
+                nxt[u] = acc
+        if not nxt:
+            break
+        touched = set()
+        for u, acc in nxt.items():
+            new = (acc ^ reach[u]).bit_count()
+            total += dist * new
+            pairs += new
+            reach[u] = acc
+            touched.update(adj[u])
+        # only nodes adjacent to a change can change next round
+        alive = sorted(touched)
+    return total, pairs
+
+
 def reference_edge_degree_pair_counts(g):
     """The per-edge loop ``metrics._edge_degree_pair_counts`` replaced."""
     deg = g.degree_array
@@ -257,6 +294,9 @@ def _reference_weighted_pick(rng, repeated, builder, v, paths):
 
 def reference_generate_cba(params, seed, paths=None):
     """Clustered BA through a set-based builder, one numpy call per draw.
+
+    Rebuilds the triad candidates from every PA target's neighbours on
+    each link, where the library keeps them as it goes.
 
     ``paths``, when given, is a list that receives the branch each
     preferential-attachment pick took: "repeated" (rejection sampling

@@ -1,9 +1,11 @@
 import csv
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
+from netfit import metrics
 from netfit.cli import main
 from netfit.data import corpus_manifest
 from netfit.dataset import DatasetTable
@@ -11,6 +13,14 @@ from netfit.graph import parse_edge_list
 from netfit.metrics import CSV_HEADER
 
 TRIANGLE = "a b\nb c\nc a\n"
+CYCLE12 = "".join(f"{i} {(i + 1) % 12}\n" for i in range(12))
+
+
+@pytest.fixture
+def one_step_solver(monkeypatch):
+    """Power iteration capped at one step: it converges on regular graphs only."""
+    capped = functools.partial(metrics.max_eigenvector_centrality, max_iter=1)
+    monkeypatch.setattr(metrics, "max_eigenvector_centrality", capped)
 
 
 @pytest.fixture
@@ -80,6 +90,18 @@ class TestMeasure:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err == f"error: {bad}: line 2: expected two node tokens, got 1\n"
+
+    def test_power_iteration_failure_keeps_other_rows(self, tmp_path, capsys, one_step_solver):
+        ring = tmp_path / "ring.txt"
+        ring.write_text(CYCLE12)
+        food = corpus_manifest().parent / "food_00.txt"
+        out = tmp_path / "f.csv"
+        assert main(["measure", str(food), str(ring), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {food}: power iteration did not converge after 1 ")
+        assert err.count("\n") == 1
+        names = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert names == ["ring"]
 
     def test_two_files_order_preserved(self, tmp_path):
         a = tmp_path / "a.txt"
@@ -174,6 +196,21 @@ class TestPipeline:
             ["pipeline", str(manifest), "--out", str(tmp_path / "out"), "--seed", "1"]
         )
         assert code == 1
+
+    def test_power_iteration_failure_on_a_real_graph(self, tmp_path, capsys, one_step_solver):
+        ring = tmp_path / "ring.txt"
+        ring.write_text(CYCLE12)
+        corpus = corpus_manifest().parent
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"name,path,domain\nfood_00,{corpus / 'food_00.txt'},food\n"
+                            f"ring,{ring},social\n")
+        code, out = run_pipeline(tmp_path, manifest, "run")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: food_00: power iteration did not converge after 1 " in err
+        real = [(r.name, r.subcategory) for r in DatasetTable.from_csv(out / "dataset.csv").rows
+                if r.category == "real"]
+        assert real == [("ring", "Real")]
 
     @pytest.mark.parametrize(
         "row,message",

@@ -137,7 +137,7 @@ class TestClusteringBA:
             generate_cba(CBAParams(n, m, p), 0)
 
     CBA_GRID = [(2, 1, 0.0), (12, 1, 0.5), (40, 2, 0.0), (60, 3, 0.7), (54, 2, 1.0),
-                (31, 30, 0.0), (300, 4, 0.3)]
+                (31, 30, 0.0), (31, 30, 1.0), (300, 4, 0.3), (1000, 5, 0.0046)]
 
     @pytest.mark.parametrize("n,m,p", CBA_GRID)
     def test_matches_builder_reference(self, n, m, p):

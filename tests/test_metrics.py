@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netfit import metrics
 from netfit.graph import load_edge_list, relabel
 from netfit.metrics import (
     METRIC_FIELDS,
     MetricDomainError,
+    _distance_totals,
     _edge_degree_pair_counts,
     assortativity,
     assortativity_is_degenerate,
@@ -42,6 +45,7 @@ from helpers import (
     pseudo_real_graph,
     random_connected_graph,
     reference_average_clustering,
+    reference_distance_totals,
     reference_edge_degree_pair_counts,
 )
 
@@ -168,6 +172,85 @@ class TestPathLength:
     def test_no_edges(self):
         with pytest.raises(MetricDomainError):
             average_path_length_normalized(graph_from_edges(3, []))
+
+
+def _generator_outputs(n, seed):
+    """Every generator's output at n nodes; 2K takes its JDM from the CBA one."""
+    third = n // 3
+    sizes = (third, third, n - 2 * third)
+    outputs = [
+        generate_ws(WSParams(n, 4, 0.2), seed),
+        generate_cba(CBAParams(n, 4, 0.3), seed),
+        generate_dd(DDParams(n, 0.4), seed),
+        generate_community(CommunityParams(sizes, min(0.5, 8 / third), 0.5 / n), seed),
+    ]
+    outputs.append(generate_2k(joint_degree_matrix(outputs[1]), seed))
+    return outputs
+
+
+STAR = graph_from_edges(100, [(0, v) for v in range(1, 100)])
+LONG_PATH = graph_from_edges(300, [(u, u + 1) for u in range(299)])
+K70 = graph_from_edges(70, [(u, v) for u in range(70) for v in range(u + 1, 70)])
+SCATTERED = graph_from_edges(12, [(1, 2), (2, 3), (5, 6), (9, 11), (11, 10), (10, 9)])
+
+
+class TestDistanceTotals:
+    """The word-parallel BFS gives the big-int reference's integers exactly."""
+
+    @pytest.mark.parametrize("n", [10, 63, 64, 65, 3000])
+    def test_every_generator(self, n):
+        if n == 3000:  # a block holds at most 64 * _PATH_WORDS / n sources
+            assert n * n > 64 * metrics._PATH_WORDS
+        for seed in (0, 1) if n < 3000 else (0,):
+            for g in _generator_outputs(n, seed):
+                assert _distance_totals(g) == reference_distance_totals(g)
+
+    @pytest.mark.parametrize("words", [None, 64])
+    def test_fixed_shapes(self, words, monkeypatch):
+        if words is not None:  # one word per row: many blocks and tail chunks
+            monkeypatch.setattr(metrics, "_PATH_WORDS", words)
+        graphs = [STAR, LONG_PATH, K70, SCATTERED, graph_from_edges(5, [(3, 4)]),
+                  generate_community(CommunityParams((30, 40, 50), 0.2, 0.0), 3),
+                  generate_cba(CBAParams(1500, 40, 0.2), 1)]
+        for g in graphs:
+            total, pairs = _distance_totals(g)
+            assert (total, pairs) == reference_distance_totals(g)
+            assert type(total) is int and type(pairs) is int
+        assert _distance_totals(LONG_PATH) == (2 * sum(d * (300 - d) for d in range(300)),
+                                               300 * 299)
+        assert _distance_totals(graph_from_edges(4, [])) == (0, 0)
+
+    def test_corpus(self):
+        paths = sorted(CORPUS.glob("*.txt"))
+        assert len(paths) == 20
+        for path in paths:
+            g = load_edge_list(path)
+            assert _distance_totals(g) == reference_distance_totals(g)
+
+    @pytest.mark.acceptance
+    def test_matches_networkx_at_n_2000(self):
+        nx = pytest.importorskip("networkx")
+        for g in _generator_outputs(2000, 4):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.node_count))
+            h.add_edges_from(g.edges())
+            total = pairs = 0
+            for _, lengths in nx.all_pairs_shortest_path_length(h):
+                total += sum(lengths.values())
+                pairs += len(lengths) - 1
+            assert _distance_totals(g) == (total, pairs)
+
+    @pytest.mark.acceptance
+    def test_memory_is_bounded_at_n_30000(self):
+        g = generate_cba(CBAParams(30000, 4, 0.3), 5)
+        tracemalloc.start()
+        try:
+            totals = _distance_totals(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert totals == (3876132292, 899970000)  # the big-int BFS's totals
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestSkewness:
