@@ -8,11 +8,8 @@ and origin with decision trees and random forests.
 """
 
 from .graph import (
-    ComponentLabeling,
     EdgeListError,
     Graph,
-    connected_components,
-    degree_sequence,
     load_edge_list,
     parse_edge_list,
     save_edge_list,

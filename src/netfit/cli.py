@@ -13,18 +13,24 @@ import csv
 import json
 import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from pathlib import Path
 
 from . import seeds
 from .dataset import DOMAINS, DatasetError, DatasetRow, DatasetTable, csv_text, write_feature_csv
-from .fitting import DEFAULT_BUDGET, DEFAULT_REPLICATES, MODELS, fit_model, params_from_json_obj
+from .fitting import (
+    DEFAULT_BUDGET,
+    DEFAULT_REPLICATES,
+    MODELS,
+    UnfittableError,
+    fit_model,
+    params_from_json_obj,
+)
 from .generators import generate
 from .gof import correlation_matrix, mean_distance_matrix, pca_project
 from .graph import EdgeListError, load_edge_list, save_edge_list, serialize_edge_list
 from .metrics import PowerIterationError, feature_vector
-from .stability import stability_run
+from .stability import StabilityError, stability_run
 
 _UNSET = object()  # distinguishes "flag not given" from an explicit value
 
@@ -234,6 +240,8 @@ def cmd_pipeline(args):
     if jobs == 1 or len(entries) <= 1:
         results = list(map(_pipeline_one, *work))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_pipeline_one, *work))
     all_rows = []
@@ -283,17 +291,26 @@ def cmd_stability(args):
     seed = _resolve_seed(args)
     g = load_edge_list(args.path)
     name = Path(args.path).stem
-    fits = [
-        _fit(g, name, spec.name, seed, args.budget, args.fit_replicates)
-        for spec in MODELS
-        if spec.competes
-    ]
-    summary = stability_run(g, fits, replicates=args.replicates,
-                            seed=seeds.derive(seed, name, "stability"))
+    fits = []
+    failures = 0
+    for spec in MODELS:
+        if not spec.competes:
+            continue
+        try:
+            fits.append(_fit(g, name, spec.name, seed, args.budget, args.fit_replicates))
+        except UnfittableError as exc:
+            failures += 1
+            print(f"error: {args.path}: {spec.name}: {exc}", file=sys.stderr)
+    try:
+        summary = stability_run(g, fits, replicates=args.replicates,
+                                seed=seeds.derive(seed, name, "stability"))
+    except StabilityError as exc:
+        print(f"error: {args.path}: {exc}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out)
     _write(out_dir / "stability.csv", summary.to_csv_text())
     print(f"stability: {args.replicates} replicates per model -> {out_dir / 'stability.csv'}")
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_classify(args):

@@ -16,6 +16,11 @@ a note. The budget caps the number of distinct candidates; the report
 gives the evaluated candidate with the smallest gap, ties toward the
 smaller p.
 
+A simulation measures the per-node rows that the model's row builder
+(``generators.ws_rows``, ``cba_rows``, ``dd_rows``) returns and builds
+no ``Graph``: the value is bit for bit what the metric gives on the
+generated graph. Every graph the library returns is still checked.
+
 Community detection for the community-structure model is the built-in
 multi-level modularity optimizer (:func:`louvain`).
 """
@@ -34,12 +39,18 @@ from .generators import (
     DDParams,
     TwoKParams,
     WSParams,
-    generate_cba,
-    generate_dd,
-    generate_ws,
+    cba_rows,
+    dd_rows,
     json_key,
+    ws_rows,
 )
-from .metrics import average_clustering, density, joint_degree_matrix
+from .metrics import (
+    average_clustering,
+    clustering_of_rows,
+    density,
+    edge_density,
+    joint_degree_matrix,
+)
 
 DEFAULT_BUDGET = 60
 DEFAULT_REPLICATES = 5
@@ -146,8 +157,9 @@ def _nearest_even(x):
     return 2 * _round_half_up(x / 2.0)
 
 
-def _degree_std(g):
-    return float(np.std(g.degree_array))
+def _degree_std(rows):
+    """Population std of the row lengths, over the same int64 array as ``Graph.degree_array``."""
+    return float(np.std(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +192,16 @@ def fit_ws(g, mode="clustering", budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLI
     if mode not in ("clustering", "degree_std"):
         raise ValueError(f"unknown WS fit mode {mode!r}")
     n, K, notes = ws_base_params(g)
-    measure = average_clustering if mode == "clustering" else _degree_std
+    if mode == "clustering":
+        measure, target = clustering_of_rows, average_clustering(g)
+    else:
+        measure, target = _degree_std, _degree_std(g.adjacency)
 
     def simulate(q, s):
-        return measure(generate_ws(WSParams(n=n, K=K, p=q), s))
+        return measure(ws_rows(WSParams(n=n, K=K, p=q), s))
 
     q, objective, evaluations, bound_notes = _search(
-        simulate, measure(g), mode == "degree_std", 0.001, 1.0, budget, replicates, seed,
+        simulate, target, mode == "degree_std", 0.001, 1.0, budget, replicates, seed,
         log_space=True)
     return FitReport(
         model="WS" if mode == "clustering" else "WS_STD",
@@ -212,7 +227,7 @@ def fit_cba(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
         notes = (f"m clamped to {m} (n={n})",)
 
     def simulate(q, s):
-        return average_clustering(generate_cba(CBAParams(n=n, m=m, p=q), s))
+        return clustering_of_rows(cba_rows(CBAParams(n=n, m=m, p=q), s))
 
     q, objective, evaluations, bound_notes = _search(
         simulate, average_clustering(g), True, 0.0, 1.0, budget, replicates, seed)
@@ -234,7 +249,7 @@ def fit_dd(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
         raise UnfittableError("DD needs at least 2 nodes")
 
     def simulate(q, s):
-        return density(generate_dd(DDParams(n=n, p=q), s))
+        return edge_density(n, sum(map(len, dd_rows(DDParams(n=n, p=q), s))) // 2)
 
     q, objective, evaluations, notes = _search(
         simulate, density(g), True, 0.02, 1.0, budget, replicates, seed)

@@ -6,7 +6,11 @@ random 2K construction that realizes a target joint degree matrix
 exactly.
 
 Every generator returns a simple :class:`~netfit.graph.Graph` and is
-deterministic for a given (params, seed) pair. Randomness comes from
+deterministic for a given (params, seed) pair. WS, CBA and DD build
+their per-node rows in a row builder (:func:`ws_rows`, :func:`cba_rows`,
+:func:`dd_rows`). The public generator checks the sorted rows into a
+``Graph``; the fit simulations measure the rows and build none, so
+every graph the library returns is still checked. Randomness comes from
 ``numpy.random.default_rng(seed)`` only: WS, CBA, DD and 2K take its
 scalar draws through :class:`~netfit.seeds.Draws`, which owns the bit
 generator and gives numpy's values without numpy's per-call cost; Com
@@ -163,7 +167,12 @@ class TwoKParams:
 
 
 def generate_ws(params, seed):
-    """Small-world graph: circulant ring lattice with random rewiring.
+    """Small-world graph: circulant ring lattice with random rewiring (see :func:`ws_rows`)."""
+    return Graph([sorted(nbrs) for nbrs in ws_rows(params, seed)])
+
+
+def ws_rows(params, seed):
+    """Neighbour set per node of a small-world graph.
 
     Start from the ring where every node links its K/2 nearest neighbors
     on each side. Lattice edges are visited in (lane, position) order and
@@ -197,7 +206,7 @@ def generate_ws(params, seed):
             adj[old].discard(i)
             mine.add(cand)
             adj[cand].add(i)
-    return Graph([sorted(nbrs) for nbrs in adj])
+    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +239,12 @@ def _weighted_pick(draws, repeated, adj, v):
 
 
 def generate_cba(params, seed):
-    """Preferential attachment with triad formation (clustered BA).
+    """Preferential attachment with triad formation (see :func:`cba_rows`)."""
+    return Graph([sorted(nbrs) for nbrs in cba_rows(params, seed)])
+
+
+def cba_rows(params, seed):
+    """Neighbour set per node of a clustered Barabasi-Albert graph.
 
     Starts from a complete graph on m nodes. Each newcomer adds exactly m
     edges: the first by preferential attachment; each later edge closes a
@@ -264,7 +278,7 @@ def generate_cba(params, seed):
             mine.add(target)
             adj[target].add(v)
             repeated.extend((v, target))
-    return Graph([sorted(nbrs) for nbrs in adj])
+    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +288,12 @@ DD_FAILURE_BUDGET_PER_NODE = 10_000
 
 
 def generate_dd(params, seed):
-    """Duplication-divergence growth from a single edge.
+    """Duplication-divergence growth from a single edge (see :func:`dd_rows`)."""
+    return Graph(dd_rows(params, seed))
+
+
+def dd_rows(params, seed):
+    """Sorted neighbour list per node of a duplication-divergence graph.
 
     Repeatedly duplicates a uniformly chosen node, keeping each copied
     link independently with probability p; a replica that keeps no link
@@ -305,7 +324,7 @@ def generate_dd(params, seed):
         for u in kept:
             adj[u].append(replica)
         adj.append(kept)
-    return Graph(adj)
+    return adj
 
 
 # ---------------------------------------------------------------------------

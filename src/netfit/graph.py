@@ -1,4 +1,4 @@
-"""Simple undirected graph type, edge-list ingestion and traversal primitives.
+"""Simple undirected graph type and edge-list ingestion.
 
 Every other module works on the :class:`Graph` defined here: a simple
 (no self-loops, no parallel edges), undirected, unweighted graph with
@@ -9,8 +9,6 @@ and passes the sorted rows to :class:`Graph`, which checks every row.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -184,57 +182,3 @@ def load_edge_list(path):
 def save_edge_list(g, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize_edge_list(g))
-
-
-@dataclass(frozen=True)
-class ComponentLabeling:
-    """Connected-component labels (dense, by discovery order) and sizes."""
-
-    label: tuple
-    component_sizes: tuple
-
-    @property
-    def count(self):
-        return len(self.component_sizes)
-
-
-def connected_components(g):
-    """Label connected components by BFS; sizes sum to node_count."""
-    n = g.node_count
-    label = [-1] * n
-    sizes = []
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        comp = len(sizes)
-        label[start] = comp
-        size = 1
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if label[v] < 0:
-                    label[v] = comp
-                    size += 1
-                    queue.append(v)
-        sizes.append(size)
-    return ComponentLabeling(label=tuple(label), component_sizes=tuple(sizes))
-
-
-def degree_sequence(g):
-    """Degrees in node-id order; sums to 2*edge_count."""
-    return tuple(len(nbrs) for nbrs in g.adjacency)
-
-
-def relabel(g, permutation):
-    """Graph with node i renamed to permutation[i] (test/analysis helper)."""
-    n = g.node_count
-    perm = tuple(permutation)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    adj = [[] for _ in range(n)]
-    labels = [""] * n
-    for u in range(n):
-        labels[perm[u]] = g.labels[u]
-        adj[perm[u]] = sorted(perm[v] for v in g.adjacency[u])
-    return Graph(tuple(tuple(a) for a in adj), labels=tuple(labels))

@@ -56,9 +56,6 @@ class JointDegreeMatrix:
             counts[k] = total / k  # may be non-integral; validate_jdm flags it
         return counts
 
-    def edge_total(self):
-        return sum(self.entries.values())
-
     def to_json_obj(self):
         return {
             "entries": [[k, l, c] for (k, l), c in sorted(self.entries.items())],

@@ -74,18 +74,17 @@ class FeatureVector:
         """The seven topological metrics (size excluded) in field order."""
         return tuple(getattr(self, f) for f in METRIC_FIELDS)
 
-    def as_dict(self):
-        d = {"size": self.size}
-        d.update({f: getattr(self, f) for f in METRIC_FIELDS})
-        return d
-
 
 def density(g):
     """Edges over the edge count of the complete graph on the same nodes."""
-    n = g.node_count
+    return edge_density(g.node_count, g.edge_count)
+
+
+def edge_density(n, m):
+    """Density of a simple graph with n nodes and m edges."""
     if n < 2:
         raise MetricDomainError("density requires at least 2 nodes")
-    return g.edge_count / (n * (n - 1) / 2)
+    return m / (n * (n - 1) / 2)
 
 
 def average_degree(g):
@@ -153,29 +152,33 @@ def _assortativity_flagged(g):
 
 
 def average_clustering(g):
-    """Mean local clustering coefficient over all nodes (0 for degree < 2).
+    """Mean local clustering coefficient over all nodes (0 for degree < 2)."""
+    return clustering_of_rows([set(nbrs) for nbrs in g.adjacency])
+
+
+def clustering_of_rows(rows):
+    """Mean local clustering of the graph whose node u links to the set rows[u].
 
     Each undirected edge u-v is intersected once: its triangle count is
     one link among the neighbors of u and one among those of v. Per node,
-    ``links`` then counts every neighbor-neighbor edge twice. The local
-    values are added in node order, one at a time, so the float result
-    does not depend on how ``sum()`` rounds.
+    ``links`` then counts every neighbor-neighbor edge twice. These
+    counts are integers, and the local values are added in node order,
+    one at a time, so the float result does not depend on the order in
+    which a set yields its members or on how ``sum()`` rounds.
     """
-    n = g.node_count
+    n = len(rows)
     if n < 1:
         raise MetricDomainError("average clustering requires at least 1 node")
-    sets = [set(nbrs) for nbrs in g.adjacency]
     links = [0] * n
-    for u, nbrs in enumerate(g.adjacency):
-        mine = sets[u]
-        for v in nbrs:
+    for u, mine in enumerate(rows):
+        for v in mine:
             if v > u:
-                shared = len(mine & sets[v])
+                shared = len(mine & rows[v])
                 links[u] += shared
                 links[v] += shared
     total = 0.0
-    for nbrs, count in zip(g.adjacency, links):
-        d = len(nbrs)
+    for mine, count in zip(rows, links):
+        d = len(mine)
         if d > 1:
             total += count / (d * (d - 1))
     return total / n

@@ -8,8 +8,9 @@ so agreement is meaningful.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 
@@ -72,6 +73,65 @@ def graph_from_edges(n, edges):
     for u, v in edges:
         builder.add_edge(u, v)
     return builder.build()
+
+
+@dataclasses.dataclass(frozen=True)
+class ComponentLabeling:
+    """Connected-component labels (dense, by discovery order) and sizes."""
+
+    label: tuple
+    component_sizes: tuple
+
+    @property
+    def count(self):
+        return len(self.component_sizes)
+
+
+def connected_components(g):
+    """Label connected components by BFS; sizes sum to node_count."""
+    n = g.node_count
+    label = [-1] * n
+    sizes = []
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        comp = len(sizes)
+        label[start] = comp
+        size = 1
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in g.adjacency[u]:
+                if label[v] < 0:
+                    label[v] = comp
+                    size += 1
+                    queue.append(v)
+        sizes.append(size)
+    return ComponentLabeling(label=tuple(label), component_sizes=tuple(sizes))
+
+
+def degree_sequence(g):
+    """Degrees in node-id order; sums to 2*edge_count."""
+    return tuple(len(nbrs) for nbrs in g.adjacency)
+
+
+def relabel(g, permutation):
+    """Graph with node i renamed to permutation[i]."""
+    n = g.node_count
+    perm = tuple(permutation)
+    if sorted(perm) != list(range(n)):
+        raise ValueError("not a permutation")
+    adj = [[] for _ in range(n)]
+    labels = [""] * n
+    for u in range(n):
+        labels[perm[u]] = g.labels[u]
+        adj[perm[u]] = sorted(perm[v] for v in g.adjacency[u])
+    return Graph(tuple(tuple(a) for a in adj), labels=tuple(labels))
+
+
+def jdm_edge_total(jdm):
+    """Edges counted by a joint degree matrix."""
+    return sum(jdm.entries.values())
 
 
 def dense_adjacency(g):
@@ -351,6 +411,28 @@ def reference_generate_dd(params, seed):
     return builder.build()
 
 
+def reference_simulate(model, params):
+    """A fit's simulation as it was before the row builders: the model's
+    metric on the ``Graph`` from the public generator.
+
+    ``params`` fixes everything but p; returns ``simulate(q, seed)``.
+    """
+    from netfit.generators import generate_cba, generate_dd, generate_ws
+    from netfit.metrics import average_clustering, density
+
+    generate, measure = {
+        "WS": (generate_ws, average_clustering),
+        "WS_STD": (generate_ws, lambda g: float(np.std(g.degree_array))),
+        "CBA": (generate_cba, average_clustering),
+        "DD": (generate_dd, density),
+    }[model]
+
+    def simulate(q, s):
+        return measure(generate(dataclasses.replace(params, p=q), s))
+
+    return simulate
+
+
 def reference_triangular_unrank(cell, s):
     """One cell index in [0, C(s,2)) -> (u, v), u < v, by walking the rows."""
     u = 0
@@ -519,8 +601,6 @@ def best_partition_bruteforce(g, modularity_fn):
 
 def random_connected_graph(rng, n_max=40, n_min=4):
     """Connected ER graph with random size/density (retries until connected)."""
-    from netfit.graph import connected_components
-
     while True:
         n = int(rng.integers(n_min, n_max + 1))
         p = float(rng.uniform(0.1, 0.5))

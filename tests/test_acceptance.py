@@ -33,7 +33,6 @@ from netfit.generators import (
     generate_2k,
 )
 from netfit.gof import canberra_distance, mean_distance_matrix, pca_project, standardized_metrics
-from netfit.graph import degree_sequence
 from netfit.metrics import (
     METRIC_FIELDS,
     average_clustering,
@@ -44,6 +43,7 @@ from netfit.metrics import (
 from helpers import (
     ORACLES,
     connected_graph_edge_sets,
+    degree_sequence,
     graph_from_edges,
     pseudo_real_graph,
     random_connected_graph,

@@ -1,6 +1,9 @@
 import csv
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -269,6 +272,39 @@ class TestDownstreamCommands:
         assert lines[0].endswith("replicates")
         assert all(line.endswith(",4") for line in lines[1:])
 
+    def test_stability_leaves_out_an_unfittable_model(self, tmp_path, capsys):
+        graph = tmp_path / "two.txt"
+        graph.write_text("a b\n")
+        out = tmp_path / "st"
+        code = main(["stability", str(graph), "--out", str(out), "--seed", "1",
+                     "--replicates", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: {graph}: WS: graph too small for a WS lattice (n=2)"]
+        assert "Traceback" not in err
+        models = {line.split(",")[0] for line in
+                  (out / "stability.csv").read_text().splitlines()[1:]}
+        assert models == {"CBA", "DD", "Com", "2K"}
+
+    def test_stability_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        import netfit.stability
+        from netfit.generators import GenerationError
+
+        def failing(params, seed):
+            raise GenerationError("always fails")
+
+        monkeypatch.setattr(netfit.stability, "generate", failing)
+        graph = corpus_manifest().parent / "chems_04.txt"
+        out = tmp_path / "st"
+        code = main(["stability", str(graph), "--out", str(out), "--seed", "3",
+                     "--replicates", "2", "--budget", "3", "--fit-replicates", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {graph}: WS: 2 of 2 replicates failed"]
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_classify_smoke(self, tmp_path, dataset_csv):
         out = tmp_path / "clf"
         code = main(
@@ -400,6 +436,17 @@ class TestBadOptionValues:
         assert err.splitlines()[-1].endswith(message.format(**paths))
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    import netfit
+
+    src = str(Path(netfit.__file__).resolve().parents[1])
+    code = ("import sys, netfit.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestEntropySeed:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,15 +26,17 @@ from netfit.generators import (
     DDParams,
     TwoKParams,
     WSParams,
+    cba_rows,
     generate_cba,
     generate_community,
     generate_dd,
     generate_ws,
 )
-from netfit.metrics import average_clustering, density
+from netfit.graph import Graph, load_edge_list
+from netfit.metrics import average_clustering, clustering_of_rows, density
 from netfit.fitting import Partition
 
-from helpers import best_partition_bruteforce, graph_from_edges
+from helpers import best_partition_bruteforce, graph_from_edges, reference_simulate
 
 TRIANGLE = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
 TWO_TRIANGLES_BRIDGE = graph_from_edges(
@@ -112,13 +116,13 @@ class TestFitWS:
 
         g = generate_ws(WSParams(20, 4, 0.2), 3)
         evaluated = []
-        real = fitting_module.generate_ws
+        real = fitting_module.ws_rows
 
         def spy(params, seed):
             evaluated.append(params.p)
             return real(params, seed)
 
-        monkeypatch.setattr(fitting_module, "generate_ws", spy)
+        monkeypatch.setattr(fitting_module, "ws_rows", spy)
         fit_ws(g, budget=25, replicates=1, seed=1)
         assert evaluated
         assert min(evaluated) >= 0.001
@@ -168,7 +172,7 @@ def draws(monkeypatch):
     import netfit.fitting as fitting_module
 
     seen = []
-    for name in ("generate_ws", "generate_cba", "generate_dd"):
+    for name in ("ws_rows", "cba_rows", "dd_rows"):
         def spy(params, seed, real=getattr(fitting_module, name)):
             seen.append((params.p, seed))
             return real(params, seed)
@@ -373,3 +377,93 @@ class TestSmoothing:
             obj1.append(fit_cba(target, budget=8, replicates=1, seed=trial).objective_value)
             obj5.append(fit_cba(target, budget=8, replicates=5, seed=trial).objective_value)
         assert np.mean(obj5) <= np.mean(obj1) + 0.01
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "netfit" / "data" / "corpus"
+SEARCHED = ("WS", "WS_STD", "CBA", "DD")
+# candidate p values per model, the ends of each search range included
+EDGE_PS = {
+    "WS": (0.001, 0.01, 0.1, 0.5, 1.0),
+    "WS_STD": (0.001, 0.01, 0.1, 0.5, 1.0),
+    "CBA": (0.0, 0.3, 1.0),
+    "DD": (0.02, 0.3, 1.0),
+}
+
+
+class _Captured(Exception):
+    """Carries a fit's simulate closure out of its search."""
+
+
+def _fit_simulate(monkeypatch, g, model):
+    """(simulate, params): the closure ``fit_model(g, model)`` searches with, and its params."""
+    import netfit.fitting as fitting_module
+
+    params = fit_model(g, model, budget=1, replicates=1).params
+
+    def stop(simulate, *args, **kwargs):
+        raise _Captured(simulate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fitting_module, "_search", stop)
+        with pytest.raises(_Captured) as caught:
+            fit_model(g, model)
+    return caught.value.args[0], params
+
+
+def _assert_bitwise_equal(simulate, reference, ps, seeds):
+    for q in ps:
+        for s in seeds:
+            assert simulate(q, s).hex() == reference(q, s).hex(), (q, s)
+
+
+class TestSimulationFromRows:
+    """A fit's simulation gives bit for bit what the metric gives on the generated Graph."""
+
+    @pytest.mark.parametrize("model", SEARCHED)
+    @pytest.mark.parametrize("name", ["chems_04", "brain_02", "brain_04", "social_04"])
+    def test_corpus_graphs(self, monkeypatch, name, model):
+        g = load_edge_list(CORPUS / f"{name}.txt")
+        simulate, params = _fit_simulate(monkeypatch, g, model)
+        _assert_bitwise_equal(simulate, reference_simulate(model, params), EDGE_PS[model],
+                              range(4))
+
+    @pytest.mark.parametrize("model", SEARCHED)
+    def test_n_1000(self, monkeypatch, model):
+        g = generate_cba(CBAParams(1000, 3, 0.3), 5)
+        simulate, params = _fit_simulate(monkeypatch, g, model)
+        assert params.n == 1000
+        _assert_bitwise_equal(simulate, reference_simulate(model, params), EDGE_PS[model],
+                              range(2))
+
+    @pytest.mark.parametrize("model", ["WS", "WS_STD"])
+    def test_ws_lattice_of_degree_n_minus_2(self, monkeypatch, model):
+        complete = graph_from_edges(30, [(u, v) for u in range(30) for v in range(u + 1, 30)])
+        simulate, params = _fit_simulate(monkeypatch, complete, model)
+        assert params.K == 28
+        _assert_bitwise_equal(simulate, reference_simulate(model, params), EDGE_PS[model],
+                              range(4))
+
+    def test_cba_m_n_minus_1(self, monkeypatch):
+        # a fit reaches m = n - 1 only at n = 2; larger n go through the same pieces
+        simulate, params = _fit_simulate(monkeypatch, graph_from_edges(2, [(0, 1)]), "CBA")
+        assert params.m == 1
+        _assert_bitwise_equal(simulate, reference_simulate("CBA", params), (0.0, 1.0), range(4))
+        params = CBAParams(30, 29, 0.5)
+        _assert_bitwise_equal(
+            lambda q, s: clustering_of_rows(cba_rows(CBAParams(30, 29, q), s)),
+            reference_simulate("CBA", params), (0.0, 0.5, 1.0), range(4))
+
+    @pytest.mark.parametrize("model", SEARCHED)
+    def test_fit_builds_no_graph(self, monkeypatch, model):
+        g = load_edge_list(CORPUS / "chems_04.txt")
+        built = []
+        real = Graph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting)
+        report = fit_model(g, model)
+        assert report.evaluations > 0
+        assert built == []

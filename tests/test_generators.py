@@ -14,6 +14,8 @@ from netfit.generators import (
     WSParams,
     _sample_distinct,
     _triangular_unrank,
+    cba_rows,
+    dd_rows,
     generate,
     generate_2k,
     generate_cba,
@@ -21,8 +23,9 @@ from netfit.generators import (
     generate_dd,
     generate_ws,
     validate_jdm,
+    ws_rows,
 )
-from netfit.graph import connected_components, degree_sequence
+from netfit.graph import Graph
 from netfit.jdm import JointDegreeMatrix
 from netfit.metrics import (
     average_clustering,
@@ -32,6 +35,8 @@ from netfit.metrics import (
 )
 
 from helpers import (
+    connected_components,
+    degree_sequence,
     graph_from_edges,
     pseudo_real_graph,
     reference_generate_cba,
@@ -198,6 +203,32 @@ class TestDuplicationDivergence:
             params = DDParams(n, p)
             assert generate_dd(params, seed).adjacency == \
                 reference_generate_dd(params, seed).adjacency
+
+
+class TestRowBuilders:
+    @pytest.mark.parametrize(
+        "build, generate, params",
+        [
+            (ws_rows, generate_ws, WSParams(40, 6, 0.2)),
+            (ws_rows, generate_ws, WSParams(12, 10, 1.0)),
+            (cba_rows, generate_cba, CBAParams(40, 3, 0.5)),
+            (cba_rows, generate_cba, CBAParams(8, 7, 1.0)),
+            (dd_rows, generate_dd, DDParams(40, 0.3)),
+            (dd_rows, generate_dd, DDParams(40, 1.0)),
+        ],
+    )
+    def test_graph_of_sorted_rows_is_the_generated_graph(self, build, generate, params):
+        for seed in range(5):
+            assert Graph([sorted(row) for row in build(params, seed)]) == generate(params, seed)
+
+    @pytest.mark.parametrize(
+        "build, params",
+        [(ws_rows, WSParams(10, 3, 0.1)), (cba_rows, CBAParams(5, 5, 0.1)),
+         (dd_rows, DDParams(10, 0.0))],
+    )
+    def test_row_builders_validate(self, build, params):
+        with pytest.raises(ParameterError):
+            build(params, 0)
 
 
 class TestCommunity:

@@ -18,16 +18,19 @@ from netfit.generators import (
 from netfit.graph import (
     EdgeListError,
     Graph,
-    connected_components,
-    degree_sequence,
     parse_edge_list,
-    relabel,
     serialize_edge_list,
 )
 
 from netfit.metrics import joint_degree_matrix
 
-from helpers import GraphBuilder, graph_from_edges
+from helpers import (
+    GraphBuilder,
+    connected_components,
+    degree_sequence,
+    graph_from_edges,
+    relabel,
+)
 
 
 def _load_make_corpus():
