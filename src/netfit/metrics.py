@@ -4,9 +4,13 @@ Seven topological measures (density, assortativity, average local
 clustering, average degree, maximum eigenvector centrality, normalized
 average path length, degree-distribution skewness) plus the node count
 form the feature vector used throughout the pipeline. All functions are
-pure; results do not depend on node labeling. Path length sums exact
-integer distances from a word-parallel multi-source BFS whose memory is
-bounded by ``_PATH_WORDS`` words per bit plane.
+pure; results do not depend on node labeling. They work on the arrays a
+:class:`~netfit.graph.Graph` keeps. Clustering counts triangles exactly
+over degree-ordered edges in chunks of ``_CLUSTER_WEDGES`` wedges;
+eigenvector centrality is restarted Lanczos with a basis of at most
+``_EIGEN_BASIS`` vectors; path length sums exact integer distances from
+a word-parallel multi-source BFS whose memory is bounded by
+``_PATH_WORDS`` words per bit plane.
 
 Conventions, chosen so every feature row is finite:
   - local clustering of a node with degree < 2 is 0;
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -46,7 +51,12 @@ class MetricDomainError(ValueError):
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration cap."""
+    """The eigenvector solver did not converge within its step cap.
+
+    The solver is Lanczos; the name and the message ("power iteration
+    did not converge after <steps> iterations") are kept from the power
+    iteration it replaced, and ``iterations`` counts Lanczos steps.
+    """
 
     def __init__(self, residual, iterations):
         super().__init__(
@@ -151,63 +161,203 @@ def _assortativity_flagged(g):
     return cov / var, False
 
 
+#: Wedges checked per chunk of the clustering kernel (plus at most one
+#: out-row's worth). Of 2^12 to 2^16, 2^14 was fastest on K_300 and the
+#: n = 10^4 CBA, DD, Com and 2K outputs; its tracemalloc peak on K_300
+#: (4.5 M wedges) is 4 MiB, against 313 MiB in one chunk.
+_CLUSTER_WEDGES = 1 << 14
+
+
 def average_clustering(g):
     """Mean local clustering coefficient over all nodes (0 for degree < 2)."""
-    return clustering_of_rows([set(nbrs) for nbrs in g.adjacency])
+    src, dst = g.edge_endpoints
+    return _clustering(g.degree_array, src, dst, src * g.node_count + dst)
 
 
 def clustering_of_rows(rows):
     """Mean local clustering of the graph whose node u links to the set rows[u].
 
-    Each undirected edge u-v is intersected once: its triangle count is
-    one link among the neighbors of u and one among those of v. Per node,
-    ``links`` then counts every neighbor-neighbor edge twice. These
-    counts are integers, and the local values are added in node order,
-    one at a time, so the float result does not depend on the order in
-    which a set yields its members or on how ``sum()`` rounds.
+    The rows become the arrays a :class:`Graph` keeps (degrees, and both
+    orientations of every edge grouped by row) for the same kernel as
+    :func:`average_clustering`, so the two agree bit for bit.
     """
     n = len(rows)
+    deg = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    dst = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(src))
+    keys = src * n + dst
+    keys.sort()
+    return _clustering(deg, src, dst, keys)
+
+
+def _clustering(deg, src, dst, keys):
+    """Mean local clustering from degrees and both orientations of each edge.
+
+    ``src``/``dst`` list every edge both ways, grouped by ``src`` in
+    ascending order, and ``keys`` is ``src * n + dst`` sorted. Each edge
+    is oriented from its lower (degree, id) end to its higher one, so
+    every triangle is found once, from its lowest node, as a wedge of two
+    out-neighbours whose link is looked up in ``keys`` (Schank & Wagner,
+    WEA 2005). Out-rows hold at most sqrt(2m) edges, and wedges go in
+    chunks of ``_CLUSTER_WEDGES`` plus at most one out-row, so scratch
+    memory stays bounded on dense graphs.
+
+    Per node, ``links`` = 2 * triangles counts every neighbor-neighbor
+    edge twice, as an integer. The local values ``links / (d(d-1))`` are
+    added in node order, one at a time, so the float result does not
+    depend on edge order or on how ``sum()`` rounds.
+    """
+    n = len(deg)
     if n < 1:
         raise MetricDomainError("average clustering requires at least 1 node")
-    links = [0] * n
-    for u, mine in enumerate(rows):
-        for v in mine:
-            if v > u:
-                shared = len(mine & rows[v])
-                links[u] += shared
-                links[v] += shared
+    rank = deg * n + np.arange(n)
+    up = rank[src] < rank[dst]
+    osrc, odst = src[up], dst[up]
+    # out-edge e pairs with the out-edges after it, up to its row's end
+    nxt = np.arange(1, len(osrc) + 1)
+    after = np.cumsum(np.bincount(osrc, minlength=n))[osrc] - nxt
+    ends = np.cumsum(after)
+    # wedge j of edge e pairs it with out-edge j + shift[e]
+    shift = nxt - ends + after
+    wedges = int(ends[-1]) if len(ends) else 0
+    triangles = np.zeros(n, dtype=np.int64)
+    e0 = done = 0
+    while done < wedges:
+        e1 = e0 + max(1, int(np.searchsorted(ends[e0:], done + _CLUSTER_WEDGES, side="right")))
+        lens = after[e0:e1]
+        size = int(ends[e1 - 1]) - done
+        v = np.repeat(odst[e0:e1], lens)
+        w = odst[np.repeat(shift[e0:e1], lens) + np.arange(done, done + size)]
+        q = v * n + w
+        hit = keys.take(np.searchsorted(keys, q), mode="clip") == q
+        corners = (np.repeat(osrc[e0:e1], lens)[hit], v[hit], w[hit])
+        triangles += np.bincount(np.concatenate(corners), minlength=n)
+        e0, done = e1, done + size
+    counted = np.flatnonzero(triangles)
+    d = deg[counted]
     total = 0.0
-    for mine, count in zip(rows, links):
-        d = len(mine)
-        if d > 1:
-            total += count / (d * (d - 1))
+    for value in (2 * triangles[counted] / (d * (d - 1))).tolist():
+        total += value
     return total / n
+
+
+#: Lanczos vectors kept before a restart from the Ritz vector: an
+#: (_EIGEN_BASIS, n) float64 basis, 1.9 MB at n = 10^4. On WS(10^4, 10,
+#: 0.01) at seeds 3-12, 16, 24 and 32 vectors needed 377-617, 297-441
+#: and 265-361 steps; measuring the n = 10^4 CBA, DD, Com and 2K outputs
+#: in one process, 32 raised its peak RSS by 0.5-1.3 MB over power
+#: iteration, 24 by about 0.2 MB.
+_EIGEN_BASIS = 24
+#: Lanczos steps between two solves of the small tridiagonal problem. On
+#: the 150 replicate graphs of one n = 1000 stability run, 6 and 8 were
+#: fastest of 3, 4, 6 and 8 (0.28 against 0.29-0.30 s); 8 divides the
+#: basis size, so the last check falls on the full basis.
+_EIGEN_CHECK = 8
 
 
 def max_eigenvector_centrality(g, tol=1e-10, max_iter=10_000):
     """Largest entry of the unit-norm principal eigenvector of the adjacency.
 
-    Power iteration from the uniform positive vector. Iterates on A+I —
-    same eigenvectors, but strictly dominant top eigenvalue, so bipartite
-    graphs converge too. Stops when the A-residual ||Av - λv|| drops
-    below ``tol``; raises :class:`PowerIterationError` at the cap.
+    Lanczos (Lanczos 1950) from the uniform vector, with every new vector
+    reorthogonalised against the whole basis. Every ``_EIGEN_CHECK``
+    steps the top eigenpair of the small tridiagonal matrix gives the
+    Ritz vector and its residual estimate; when the estimate is at most
+    ``tol``, or the basis of ``_EIGEN_BASIS`` vectors is full, Lanczos
+    restarts from the Ritz vector. The first step of each start computes
+    the explicit residual ||Ax - λx|| with λ = x·Ax and stops once it is
+    at most ``tol``. The Krylov space of the uniform vector meets each
+    eigenspace in one direction, so on a graph whose top eigenvalue is
+    repeated (a disconnected one) the result is the uniform vector's
+    projection onto it. The vector's sign makes its sum positive.
+    Raises :class:`PowerIterationError` after ``max_iter`` steps
+    (matrix-vector products).
     """
     n = g.node_count
     if g.edge_count < 1:
         raise MetricDomainError("eigenvector centrality requires at least 1 edge")
     src, dst = g.edge_endpoints
+    basis = np.empty((min(_EIGEN_BASIS, n), n))
     x = np.full(n, 1.0 / math.sqrt(n))
+    steps = 0
     residual = math.inf
-    for _ in range(max_iter):
-        ax = np.bincount(dst, weights=x[src], minlength=n)
-        lam = float(x @ ax)
-        diff = ax - lam * x
-        residual = float(np.sqrt(diff @ diff))
-        if residual <= tol:
-            return float(x.max())
-        y = ax + x  # (A + I) x
-        x = y / np.sqrt(y @ y)
-    raise PowerIterationError(residual, max_iter)
+    while True:
+        basis[0] = x
+        alpha, beta = [], []
+        for k in range(len(basis)):
+            if steps == max_iter:
+                raise PowerIterationError(residual, steps)
+            v = basis[k]
+            w = np.bincount(dst, weights=v[src], minlength=n)
+            steps += 1
+            a = float(v @ w)
+            w -= a * v
+            if k == 0:
+                residual = math.sqrt(float(w @ w))
+                if residual <= tol:
+                    if x.sum() < 0:
+                        x = -x
+                    return float(x.max())
+            else:
+                w -= beta[-1] * basis[k - 1]
+            head = basis[: k + 1]
+            w -= np.einsum("ij,i->j", head, np.einsum("ij,j->i", head, w))
+            b = math.sqrt(float(w @ w))
+            alpha.append(a)
+            full = k + 1 == len(basis)
+            if full or b <= tol or (k + 1) % _EIGEN_CHECK == 0:
+                y = _top_eigenvector(alpha, beta)
+                if full or abs(b * y[-1]) <= tol:
+                    break
+            beta.append(b)
+            basis[k + 1] = w / b
+        x = np.einsum("ij,i->j", basis[: len(y)], y)
+        x /= math.sqrt(float(x @ x))
+
+
+def _top_eigenvector(alpha, beta):
+    """Unit eigenvector for the largest eigenvalue of a symmetric tridiagonal.
+
+    ``alpha`` is the diagonal and ``beta`` the off-diagonal (one shorter).
+    Sturm bisection finds the smallest float sigma above every
+    eigenvalue, where the pivots of T - sigma*I are all negative; two
+    solves of (T - sigma*I) y = b, the first from e_1, are inverse
+    iteration at that shift. Pure Python: k <= ``_EIGEN_BASIS`` is small,
+    and a LAPACK call would wake a BLAS thread.
+    """
+    k = len(alpha)
+    if k == 1:
+        return [1.0]
+    squares = [b * b for b in beta]
+    lo = max(alpha)  # the top eigenvalue is at least every diagonal entry
+    # Gershgorin's bound, plus 1 to be strictly above every eigenvalue
+    hi = max(a + abs(l) + abs(r)
+             for a, l, r in zip(alpha, [0.0] + beta, beta + [0.0])) + 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        d = alpha[0] - mid
+        for a, b2 in zip(alpha[1:], squares):
+            if d >= 0.0:
+                break
+            d = a - mid - b2 / d
+        if d < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    pivots = [alpha[0] - hi]
+    for a, b2 in zip(alpha[1:], squares):
+        pivots.append(a - hi - b2 / pivots[-1])
+    y = [1.0] + [0.0] * (k - 1)
+    for _ in range(2):
+        for i in range(1, k):
+            y[i] -= beta[i - 1] / pivots[i - 1] * y[i - 1]
+        y[-1] /= pivots[-1]
+        for i in range(k - 2, -1, -1):
+            y[i] = (y[i] - beta[i] * y[i + 1]) / pivots[i]
+        scale = 1.0 / math.sqrt(math.fsum(c * c for c in y))
+        y = [c * scale for c in y]
+    return y
 
 
 #: Words per bit plane of the path-length BFS: a (rows, w) uint64 plane

@@ -181,6 +181,48 @@ def reference_average_clustering(g):
     return sum(local(u) for u in range(g.node_count)) / g.node_count
 
 
+def reference_clustering_of_rows(rows):
+    """The set loop: each undirected edge u-v intersected once.
+
+    Its count of shared neighbours is one link among the neighbours of u
+    and one among those of v, so ``links`` counts every neighbour-neighbour
+    edge twice; the local values are added in node order with ``+=``.
+    """
+    n = len(rows)
+    links = [0] * n
+    for u, mine in enumerate(rows):
+        for v in mine:
+            if v > u:
+                shared = len(mine & rows[v])
+                links[u] += shared
+                links[v] += shared
+    total = 0.0
+    for mine, count in zip(rows, links):
+        d = len(mine)
+        if d > 1:
+            total += count / (d * (d - 1))
+    return total / n
+
+
+def reference_max_eigenvector_centrality(g, tol=1e-10, max_iter=10_000):
+    """Power iteration on A + I from the uniform vector, to residual ``tol``.
+
+    A + I has A's eigenvectors and a strictly dominant top eigenvalue, so
+    bipartite graphs converge too. Returns None at the step cap.
+    """
+    n = g.node_count
+    src, dst = g.edge_endpoints
+    x = np.full(n, 1.0 / np.sqrt(n))
+    for _ in range(max_iter):
+        ax = np.bincount(dst, weights=x[src], minlength=n)
+        diff = ax - float(x @ ax) * x
+        if float(np.sqrt(diff @ diff)) <= tol:
+            return float(x.max())
+        y = ax + x
+        x = y / np.sqrt(y @ y)
+    return None
+
+
 def oracle_average_clustering(g):
     """Neighbor-pair enumeration per node."""
     total = 0.0

@@ -16,9 +16,11 @@ from netfit.metrics import (
     _edge_degree_pair_counts,
     assortativity,
     assortativity_is_degenerate,
+    PowerIterationError,
     average_clustering,
     average_degree,
     average_path_length_normalized,
+    clustering_of_rows,
     degree_skewness,
     density,
     feature_vector,
@@ -31,23 +33,29 @@ from netfit.generators import (
     CommunityParams,
     DDParams,
     WSParams,
+    cba_rows,
     generate_2k,
     generate_cba,
     generate_community,
     generate_dd,
     generate_ws,
+    ws_rows,
 )
 
 from helpers import (
     ORACLES,
+    connected_components,
     graph_from_edges,
     jdm_edge_total,
     oracle_jdm_entries,
+    oracle_max_eigenvector_centrality,
     pseudo_real_graph,
     random_connected_graph,
     reference_average_clustering,
+    reference_clustering_of_rows,
     reference_distance_totals,
     reference_edge_degree_pair_counts,
+    reference_max_eigenvector_centrality,
     relabel,
 )
 
@@ -141,6 +149,95 @@ class TestClustering:
             assert average_clustering(g).hex() == reference_average_clustering(g).hex()
 
 
+def _rows(g):
+    return [set(nbrs) for nbrs in g.adjacency]
+
+
+def _same_clustering(g):
+    """The kernel, through both entry points, gives the set loop's bits."""
+    expected = reference_clustering_of_rows(_rows(g)).hex()
+    assert average_clustering(g).hex() == expected
+    assert clustering_of_rows(_rows(g)).hex() == expected
+
+
+def _complete(n):
+    return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+# each generator over its parameter range, ends included
+CLUSTERING_GRID = (
+    [WSParams(n, K, p) for n, K in ((12, 10), (60, 6), (300, 10))
+     for p in (0.0, 0.001, 0.1, 0.5, 1.0)]
+    + [CBAParams(n, m, p) for n, m in ((40, 1), (80, 3), (300, 5), (31, 30))
+       for p in (0.0, 0.5, 1.0)]
+    + [DDParams(n, p) for n in (50, 300) for p in (0.05, 0.4, 0.9, 1.0)]
+    + [CommunityParams(sizes, p_in, p_out)
+       for sizes in ((30, 30, 5), (100, 50, 1))
+       for p_in, p_out in ((0.0, 0.0), (0.3, 0.05), (1.0, 0.0), (1.0, 1.0))]
+)
+
+
+class TestClusteringKernel:
+    """The degree-ordered triangle kernel against the set loop it replaced."""
+
+    @pytest.mark.parametrize("params", CLUSTERING_GRID, ids=repr)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_every_generator_matches_the_set_loop(self, params, seed):
+        from netfit.generators import generate
+
+        g = generate(params, seed)
+        _same_clustering(g)
+        if g.edge_count:
+            _same_clustering(generate_2k(joint_degree_matrix(g), seed))
+
+    def test_corpus_matches_the_set_loop(self):
+        for path in sorted(CORPUS.glob("*.txt")):
+            _same_clustering(load_edge_list(path))
+
+    @pytest.mark.parametrize("make", [
+        lambda: _complete(300),
+        lambda: generate_ws(WSParams(60, 58, 0.0), 0),
+        lambda: generate_ws(WSParams(60, 58, 0.3), 1),
+        lambda: generate_ws(WSParams(300, 298, 0.1), 2),
+    ], ids=["K300", "WS60-K58-p0", "WS60-K58-p0.3", "WS300-K298-p0.1"])
+    def test_dense_graphs(self, make):
+        _same_clustering(make())
+
+    def test_complete_graph_is_one(self):
+        assert average_clustering(_complete(300)) == 1.0
+
+    def test_edgeless_and_isolated_nodes(self):
+        assert average_clustering(graph_from_edges(5, [])) == 0.0
+        assert clustering_of_rows([set() for _ in range(5)]) == 0.0
+        g = graph_from_edges(7, [(0, 1), (1, 2), (2, 0), (4, 5)])
+        assert average_clustering(g) == 3 / 7
+        _same_clustering(g)
+
+    def test_requires_a_node(self):
+        with pytest.raises(MetricDomainError):
+            clustering_of_rows([])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_and_graph_paths_agree(self, seed):
+        for rows, g in (
+            (ws_rows(WSParams(200, 8, 0.1), seed), generate_ws(WSParams(200, 8, 0.1), seed)),
+            (cba_rows(CBAParams(200, 4, 0.7), seed), generate_cba(CBAParams(200, 4, 0.7), seed)),
+        ):
+            assert clustering_of_rows(rows).hex() == average_clustering(g).hex()
+
+    def test_wedges_are_chunked_on_k300(self):
+        # 4.5 M wedges: one int64 array of them alone is 36 MB
+        g = _complete(300)
+        tracemalloc.start()
+        try:
+            value = average_clustering(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1.0
+        assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 class TestEigenvectorCentrality:
     def test_triangle_uniform(self):
         assert max_eigenvector_centrality(TRIANGLE) == pytest.approx(1 / math.sqrt(3), abs=1e-9)
@@ -159,6 +256,93 @@ class TestEigenvectorCentrality:
     def test_requires_edge(self):
         with pytest.raises(MetricDomainError):
             max_eigenvector_centrality(graph_from_edges(2, []))
+
+    def test_step_cap_keeps_the_message(self):
+        g = load_edge_list(CORPUS / "food_00.txt")
+        with pytest.raises(PowerIterationError) as caught:
+            max_eigenvector_centrality(g, max_iter=5)
+        assert caught.value.iterations == 5
+        assert str(caught.value).startswith("power iteration did not converge after 5 iterations")
+
+    def test_regular_graph_takes_one_step(self):
+        c12 = graph_from_edges(12, [(i, (i + 1) % 12) for i in range(12)])
+        assert max_eigenvector_centrality(c12, max_iter=1) == pytest.approx(12 ** -0.5, abs=1e-15)
+
+
+def _disconnected_graphs():
+    """Graphs whose components share or split the top eigenvalue."""
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    twice = graph_from_edges(8, k4 + [(u + 4, v + 4) for u, v in k4])
+    path_and_edge = graph_from_edges(5, [(0, 1), (2, 3), (3, 4)])
+    split = generate_community(CommunityParams((40, 60, 30), 0.2, 0.0), 3)
+    return [twice, path_and_edge, split, TWO_EDGES]
+
+
+class TestLanczos:
+    """Lanczos against the dense oracle, power iteration and scipy."""
+
+    def test_dense_oracle(self):
+        rng = np.random.default_rng(17)
+        graphs = [random_connected_graph(rng, n_max=60) for _ in range(20)]
+        graphs += [pseudo_real_graph(rng, 200), generate_ws(WSParams(200, 6, 0.05), 2),
+                   generate_cba(CBAParams(150, 3, 0.5), 4)]
+        for g in graphs:
+            assert connected_components(g).count == 1
+            expected = oracle_max_eigenvector_centrality(g)
+            assert max_eigenvector_centrality(g) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n", [40, 300, 1000])
+    def test_power_iteration_on_every_generator(self, n, seed):
+        rng = np.random.default_rng(seed)
+        graphs = _generator_outputs(n, seed) + [
+            generate_ws(WSParams(n, 10, 0.05), seed),
+            generate_dd(DDParams(n, 0.9 if n < 1000 else 0.3), seed),
+            pseudo_real_graph(rng, n),
+        ]
+        for g in graphs:
+            expected = reference_max_eigenvector_centrality(g)
+            assert max_eigenvector_centrality(g) == pytest.approx(expected, abs=1e-9)
+
+    def test_power_iteration_on_the_corpus(self):
+        paths = sorted(CORPUS.glob("*.txt"))
+        assert len(paths) == 20
+        for path in paths:
+            g = load_edge_list(path)
+            expected = reference_max_eigenvector_centrality(g)
+            assert max_eigenvector_centrality(g) == pytest.approx(expected, abs=1e-9), path.name
+
+    def test_disconnected_graphs_follow_the_uniform_start(self):
+        for g in _disconnected_graphs():
+            assert connected_components(g).count > 1
+            expected = reference_max_eigenvector_centrality(g)
+            assert max_eigenvector_centrality(g) == pytest.approx(expected, abs=1e-9)
+
+    def test_scipy_eigsh_near_n_2000(self):
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        sparse = pytest.importorskip("scipy.sparse")
+        graphs = _generator_outputs(2000, 3) + [
+            generate_ws(WSParams(2000, 10, 0.02), 3), generate_dd(DDParams(2000, 0.3), 3)]
+        for g in graphs:
+            assert connected_components(g).count == 1
+            src, dst = g.edge_endpoints
+            a = sparse.csr_matrix((np.ones(len(src)), (src, dst)), shape=(g.node_count,) * 2)
+            _, vecs = linalg.eigsh(a, k=1, which="LA", tol=1e-14,
+                                   v0=np.ones(g.node_count))
+            vec = vecs[:, 0] * np.sign(vecs[:, 0].sum())
+            assert max_eigenvector_centrality(g) == pytest.approx(vec.max(), abs=1e-8)
+
+
+class TestNearLatticeWS:
+    """WS(10^4, 10, 0.01): a localised top eigenvector and a small gap."""
+
+    def test_converges_at_every_seed_from_3_to_12(self):
+        values = {}
+        for seed in range(3, 13):
+            values[seed] = max_eigenvector_centrality(generate_ws(WSParams(10_000, 10, 0.01), seed))
+        # scipy's eigsh at generate seeds 3 and 7
+        assert values[3] == pytest.approx(0.027879, abs=1e-6)
+        assert values[7] == pytest.approx(0.048031, abs=1e-6)
 
 
 class TestPathLength:

@@ -13,8 +13,11 @@ on the same inputs (this checkout's bundled corpus):
   ``measure`` over the generated graphs.
 
 Each command's output files, stdout, stderr and exit code are kept, and
-the two output trees are compared with ``diff -r``. The working tree is
-only read. Run from anywhere inside the checkout:
+the two output trees are compared with ``diff -r``. For each CSV file
+that differs, the columns that changed are then named, each with its
+largest absolute difference (``text`` when a changed cell is not a
+number). The working tree is only read. Run from anywhere inside the
+checkout:
 
     python3 tools/same_outputs.py HEAD~
 
@@ -25,6 +28,7 @@ export the ref.
 
 from __future__ import annotations
 
+import csv
 import os
 import subprocess
 import sys
@@ -88,6 +92,45 @@ def run(src, out_dir):
     return failed
 
 
+def column_report(ref_dir, work_dir):
+    """Lines naming, per CSV file that differs between the trees, its changed columns.
+
+    Rows are compared by position under the reference file's header. A
+    column reads ``<name> <largest |difference|>``, or ``<name> text``
+    when a changed cell does not parse as a number in both files.
+    """
+    lines = []
+    for ref in sorted(ref_dir.rglob("*.csv")):
+        rel = ref.relative_to(ref_dir)
+        work = work_dir / rel
+        if not work.is_file() or ref.read_bytes() == work.read_bytes():
+            continue
+        old, new = (list(csv.reader(p.read_text(encoding="utf-8").splitlines()))
+                    for p in (ref, work))
+        header = old[0] if old else []
+        notes = []
+        if old[:1] != new[:1]:
+            notes.append("header differs")
+        if len(old) != len(new):
+            notes.append(f"{len(old)} vs {len(new)} rows")
+        worst = {}
+        for row_old, row_new in zip(old[1:], new[1:]):
+            for j, (a, b) in enumerate(zip(row_old, row_new)):
+                if a == b:
+                    continue
+                try:
+                    gap = abs(float(a) - float(b))
+                except ValueError:
+                    gap = None
+                last = worst.get(j, 0.0)
+                worst[j] = None if gap is None or last is None else max(last, gap)
+        for j, gap in sorted(worst.items()):
+            name = header[j] if j < len(header) and header[j] else f"column {j}"
+            notes.append(f"{name} {'text' if gap is None else f'{gap:.3g}'}")
+        lines.append(f"{rel}: {', '.join(notes)}")
+    return lines
+
+
 def export(ref, dest):
     """Extract ``git archive <ref>`` into dest; SystemExit(2) if git refuses."""
     dest.mkdir(parents=True)
@@ -117,6 +160,11 @@ def main(argv):
                               capture_output=True, text=True)
         sys.stdout.write(diff.stdout)
         if diff.returncode != 0:
+            report = column_report(tmp / "out" / "ref", tmp / "out" / "work")
+            if report:
+                print("changed CSV columns (largest absolute difference):")
+                for line in report:
+                    print(f"  {line}")
             print(f"outputs differ from {ref}")
             return 1
     if failed["work"]:
