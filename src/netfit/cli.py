@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import secrets
 import sys
@@ -39,10 +40,20 @@ class InputError(ValueError):
     """Malformed manifest, config or params file; the message names the file."""
 
 
+def _utf8_text(path, kind):
+    """The text of a ``kind`` file; InputError naming the line of a byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{kind} {path}:{line}: not UTF-8 text") from None
+
+
 def _read_config(path):
     """Parse a `key = value` config file into {key: (raw value, "config <path>:<line>")}."""
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_utf8_text(path, "config").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -181,26 +192,28 @@ def _read_manifest(path):
     base = Path(path).parent
     entries = []
     names = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [h.strip() for h in header] != ["name", "path", "domain"]:
-            raise InputError(f"manifest {path}:1: header must be name,path,domain")
-        for record in reader:
-            if not record:
-                continue
-            where = f"manifest {path}:{reader.line_num}"
-            if len(record) != 3:
-                raise InputError(f"{where}: expected 3 fields name,path,domain, got {len(record)}")
-            name, rel, domain = (field.strip() for field in record)
-            if domain not in DOMAINS:
-                raise InputError(
-                    f"{where}: unknown domain {domain!r} (expected one of {', '.join(DOMAINS)})"
-                )
-            if name in names:
-                raise InputError(f"{where}: duplicate name {name!r}")
-            names.add(name)
-            entries.append((name, str((base / rel).resolve()), domain))
+    reader = csv.reader(io.StringIO(_utf8_text(path, "manifest"), newline=None))
+    header = next(reader, [])
+    if [h.strip() for h in header] != ["name", "path", "domain"]:
+        raise InputError(f"manifest {path}:1: header must be name,path,domain")
+    for record in reader:
+        if not record:
+            continue
+        where = f"manifest {path}:{reader.line_num}"
+        if len(record) != 3:
+            raise InputError(f"{where}: expected 3 fields name,path,domain, got {len(record)}")
+        name, rel, domain = (field.strip() for field in record)
+        if domain not in DOMAINS:
+            raise InputError(
+                f"{where}: unknown domain {domain!r} (expected one of {', '.join(DOMAINS)})"
+            )
+        if name in names:
+            raise InputError(f"{where}: duplicate name {name!r}")
+        for field, value in (("name", name), ("path", rel)):
+            if "\0" in value:  # no file name can hold one
+                raise InputError(f"{where}: NUL byte in the {field} field")
+        names.add(name)
+        entries.append((name, str((base / rel).resolve()), domain))
     return entries
 
 
@@ -232,17 +245,16 @@ def _pipeline_one(entry, master_seed, budget, fit_replicates):
 
 
 def cmd_pipeline(args):
-    seed = _resolve_seed(args)
     entries = _read_manifest(args.manifest)
+    seed = _resolve_seed(args)
     out_dir = Path(args.out)
-    jobs = max(1, args.jobs)
     work = (entries, repeat(seed), repeat(args.budget), repeat(args.fit_replicates))
-    if jobs == 1 or len(entries) <= 1:
+    if args.jobs == 1 or len(entries) <= 1:
         results = list(map(_pipeline_one, *work))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_pipeline_one, *work))
     all_rows = []
     all_failures = []
@@ -393,7 +405,7 @@ def build_parser():
     p = new_command("pipeline", cmd_pipeline, "fit+generate+measure a whole manifest",
                     needs_out=True)
     p.add_argument("manifest", help="CSV with header name,path,domain")
-    opt(p, "--jobs", 1, type=_integer())
+    opt(p, "--jobs", 1, type=_integer(1))
     opt(p, "--budget", DEFAULT_BUDGET, type=_integer(1))
     opt(p, "--fit-replicates", DEFAULT_REPLICATES, type=_integer(1))
     opt(p, "--seed", None, type=_integer(0))

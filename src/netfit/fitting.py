@@ -195,7 +195,7 @@ def fit_ws(g, mode="clustering", budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLI
     if mode == "clustering":
         measure, target = clustering_of_rows, average_clustering(g)
     else:
-        measure, target = _degree_std, _degree_std(g.adjacency)
+        measure, target = _degree_std, float(np.std(g.degree_array))
 
     def simulate(q, s):
         return measure(ws_rows(WSParams(n=n, K=K, p=q), s))
@@ -291,15 +291,18 @@ def modularity(g, community):
     m = g.edge_count
     if m < 1:
         raise ValueError("modularity needs at least one edge")
-    n_comm = max(community) + 1
-    internal = [0] * n_comm
-    degree_sum = [0] * n_comm
-    for u in range(g.node_count):
-        degree_sum[community[u]] += g.degree(u)
-    for u, v in g.edges():
-        if community[u] == community[v]:
-            internal[community[u]] += 1
-    return sum(internal[c] / m - (degree_sum[c] / (2 * m)) ** 2 for c in range(n_comm))
+    internal, degree_sum = _community_counts(g, community)
+    return sum(e / m - (d / (2 * m)) ** 2 for e, d in zip(internal, degree_sum))
+
+
+def _community_counts(g, community):
+    """(edges inside, degree sum) per community id as int lists, from the edge arrays."""
+    src, dst = g.edge_endpoints
+    label = np.asarray(community, dtype=np.int64)
+    n_comm = int(label.max()) + 1
+    a, b = label[src], label[dst]
+    internal = np.bincount(a[a == b], minlength=n_comm) // 2  # both orientations
+    return internal.tolist(), np.bincount(a, minlength=n_comm).tolist()
 
 
 def _local_moves(n, weights, degrees, total_weight, order):
@@ -354,10 +357,7 @@ def louvain(g, seed=0):
     n = g.node_count
     total_weight = float(g.edge_count)
     # level graph state
-    weights = [dict() for _ in range(n)]
-    for u, v in g.edges():
-        weights[u][v] = weights[u].get(v, 0.0) + 1.0
-        weights[v][u] = weights[v].get(u, 0.0) + 1.0
+    weights = [dict.fromkeys(g.neighbors(u), 1.0) for u in range(n)]
     loops = [0.0] * n
     membership = list(range(n))  # original node -> current level community
 
@@ -408,10 +408,7 @@ def fit_community(g, seed=0, partition=None):
         partition = louvain(g, seed=seed)
     community = partition.community
     sizes = partition.sizes()
-    intra = 0
-    for u, v in g.edges():
-        if community[u] == community[v]:
-            intra += 1
+    intra = sum(_community_counts(g, community)[0])
     possible_in = sum(s * (s - 1) // 2 for s in sizes)
     n = g.node_count
     possible_out = n * (n - 1) // 2 - possible_in

@@ -384,9 +384,7 @@ def generate_community(params, seed):
     # orientations by (src, dst) yields every row sorted
     src = np.concatenate(lows + highs)
     dst = np.concatenate(highs + lows)
-    flat = dst[np.lexsort((dst, src))].tolist()
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    return Graph([flat[a:b] for a, b in zip([0] + ends[:-1], ends)])
+    return Graph.from_arrays(np.bincount(src, minlength=n), dst[np.lexsort((dst, src))])
 
 
 def _triangular_unrank(cells, s):

@@ -3,8 +3,10 @@
 Every other module works on the :class:`Graph` defined here: a simple
 (no self-loops, no parallel edges), undirected, unweighted graph with
 nodes densely numbered ``0..n-1``. Graphs are immutable once built.
-Code that adds edges in arbitrary order collects them in per-node sets
-and passes the sorted rows to :class:`Graph`, which checks every row.
+A graph is its degree array and its concatenated sorted rows. Code that
+adds edges in arbitrary order collects them in per-node sets and passes
+the sorted rows to :class:`Graph`; code that has the arrays passes them
+to :meth:`Graph.from_arrays`. Both end in the same check.
 """
 
 from __future__ import annotations
@@ -23,23 +25,41 @@ class EdgeListError(ValueError):
 class Graph:
     """Immutable simple undirected graph over nodes ``0..n-1``.
 
-    ``adjacency`` is a tuple of sorted neighbor tuples; symmetry and
-    simplicity are enforced at construction by numpy checks over the
-    concatenated rows, O(m log m) for m edges. The check's arrays are
-    kept read-only: ``degree_array`` (row lengths) and ``edge_endpoints``
-    (src, dst), both orientations of every edge in row order. ``labels``
-    keeps the original node tokens for round-trip serialization
-    (defaults to the decimal ids). Instances are safe to share across
-    threads.
+    A graph is two read-only int64 arrays: ``degree_array`` (the row
+    lengths) and ``edge_endpoints``, the pair (src, dst) that lists both
+    orientations of every edge, grouped by src in ascending order with
+    each row sorted. Symmetry and simplicity are enforced at
+    construction by numpy checks over the arrays, O(m log m) for m
+    edges. ``labels`` keeps the original node tokens for round-trip
+    serialization (defaults to the decimal ids). Instances are safe to
+    share across threads.
     """
 
-    __slots__ = ("adjacency", "node_count", "edge_count", "labels", "degree_array",
-                 "edge_endpoints")
+    __slots__ = ("node_count", "edge_count", "labels", "degree_array", "edge_endpoints")
 
-    def __init__(self, adjacency, labels=None):
-        adjacency = tuple(tuple(nbrs) for nbrs in adjacency)
-        n = len(adjacency)
-        deg, src, dst = _check_adjacency(adjacency)
+    def __init__(self, rows, labels=None):
+        """Graph whose node u links to the sorted row ``rows[u]``."""
+        self._adopt(*row_arrays(rows), labels)
+
+    @classmethod
+    def from_arrays(cls, degrees, targets, labels=None):
+        """Graph from its degrees and its concatenated sorted rows.
+
+        The int64 arrays are taken over, not copied, and made read-only;
+        they pass the same check as rows given to the constructor.
+        """
+        deg, dst = np.asarray(degrees), np.asarray(targets)
+        if deg.ndim != 1 or dst.ndim != 1 or deg.dtype != np.int64 or dst.dtype != np.int64:
+            raise ValueError("degrees and rows must be 1-D int64 arrays")
+        if deg.min(initial=0) < 0 or int(deg.sum()) != len(dst):
+            raise ValueError("degrees do not match the rows")
+        g = object.__new__(cls)
+        g._adopt(deg, _sources(deg), dst, labels)
+        return g
+
+    def _adopt(self, deg, src, dst, labels):
+        _check_rows(deg, src, dst)
+        n = len(deg)
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         else:
@@ -48,7 +68,6 @@ class Graph:
                 raise ValueError("labels length mismatch")
         for arr in (deg, src, dst):
             arr.setflags(write=False)
-        object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edge_count", len(dst) // 2)
         object.__setattr__(self, "labels", labels)
@@ -59,41 +78,56 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.adjacency == other.adjacency
-
-    def __hash__(self):
-        return hash(self.adjacency)
+        """Same nodes and edges (labels are not compared)."""
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (np.array_equal(self.degree_array, other.degree_array)
+                and np.array_equal(self.edge_endpoints[1], other.edge_endpoints[1]))
 
     def __repr__(self):
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
-    def degree(self, u):
-        return len(self.adjacency[u])
-
     def neighbors(self, u):
-        return self.adjacency[u]
+        """Sorted tuple of the neighbours of node u."""
+        if not 0 <= u < self.node_count:
+            raise IndexError(f"node {u} out of range")
+        src, dst = self.edge_endpoints
+        start = int(np.searchsorted(src, u))
+        return tuple(dst[start:start + int(self.degree_array[u])].tolist())
 
     def edges(self):
-        """Yield each undirected edge once as (u, v) with u < v, in id order."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if v > u:
-                    yield (u, v)
+        """Each undirected edge once as (u, v) with u < v, in id order."""
+        src, dst = self.edge_endpoints
+        once = src < dst
+        return zip(src[once].tolist(), dst[once].tolist())
 
 
-def _check_adjacency(adjacency):
-    """(deg, src, dst) arrays of a valid adjacency; ValueError naming the first fault.
+def row_arrays(rows):
+    """(degrees, sources, targets): per-node rows flattened to int64 arrays.
+
+    ``rows[u]`` is a sized iterable of node u's neighbours. ``targets``
+    concatenates the rows in node order, each in its own order, and
+    ``sources`` repeats each node id once per entry of its row.
+    """
+    deg = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    dst = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(deg.sum()))
+    return deg, _sources(deg), dst
+
+
+def _sources(deg):
+    return np.repeat(np.arange(len(deg), dtype=np.int64), deg)
+
+
+def _check_rows(deg, src, dst):
+    """ValueError naming the first fault of the rows that ``dst`` concatenates.
 
     Each row must be strictly increasing, in range and free of its own
     node, and every u-v entry needs its v-u partner. Rows are scanned in
     node order, so the error names the same node or edge a per-entry
     loop would meet first.
     """
-    n = len(adjacency)
-    deg = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
-    total = int(deg.sum())
-    dst = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=total)
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    n = len(deg)
+    total = len(dst)
     # prev: the entry before in the same row, -1 at a row start
     prev = np.empty_like(dst)
     prev[1:] = dst[:-1]
@@ -122,7 +156,6 @@ def _check_adjacency(adjacency):
         raise ValueError(f"edge {int(src[i])}-{int(dst[i])} not symmetric")
     if total % 2:
         raise ValueError("odd total degree")
-    return deg, src, dst
 
 
 def parse_edge_list(text):
@@ -138,9 +171,8 @@ def parse_edge_list(text):
     Raises EdgeListError on a one-token line (with its line number) or
     when no usable edge remains.
     """
-    ids = {}
-    labels = []
-    adj = []
+    ids = {}  # token -> dense id, in first-appearance order
+    heads, tails = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(COMMENT_PREFIXES):
@@ -151,17 +183,20 @@ def parse_edge_list(text):
         a, b = tokens[0], tokens[1]
         if a == b:
             continue
-        for tok in (a, b):
-            if tok not in ids:
-                ids[tok] = len(labels)
-                labels.append(tok)
-                adj.append(set())
-        u, v = ids[a], ids[b]
-        adj[u].add(v)
-        adj[v].add(u)
-    if not labels:
+        heads.append(ids.setdefault(a, len(ids)))
+        tails.append(ids.setdefault(b, len(ids)))
+    if not ids:
         raise EdgeListError("no usable edges in input")
-    return Graph([sorted(nbrs) for nbrs in adj], labels=labels)
+    # both orientations as keys u*n + v, sorted, each distinct key once
+    n = len(ids)
+    u = np.array(heads, dtype=np.int64)
+    v = np.array(tails, dtype=np.int64)
+    keys = np.concatenate((u * n + v, v * n + u))
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    src, dst = np.divmod(keys[first], n)
+    return Graph.from_arrays(np.bincount(src, minlength=n), dst, labels=tuple(ids))
 
 
 def serialize_edge_list(g):

@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
+from .graph import row_arrays
 from .jdm import JointDegreeMatrix
 
 #: Metric fields entering distance / correlation / PCA computations
@@ -181,11 +181,8 @@ def clustering_of_rows(rows):
     orientations of every edge grouped by row) for the same kernel as
     :func:`average_clustering`, so the two agree bit for bit.
     """
-    n = len(rows)
-    deg = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    dst = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(src))
-    keys = src * n + dst
+    deg, src, dst = row_arrays(rows)
+    keys = src * len(rows) + dst
     keys.sort()
     return _clustering(deg, src, dst, keys)
 

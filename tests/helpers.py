@@ -14,7 +14,7 @@ from collections import Counter, deque
 
 import numpy as np
 
-from netfit.graph import Graph
+from netfit.graph import COMMENT_PREFIXES, EdgeListError, Graph
 
 
 class GraphBuilder:
@@ -68,11 +68,44 @@ class GraphBuilder:
         return Graph(adjacency, labels=labels)
 
 
+def rows_of(g):
+    """Sorted neighbour tuple per node, read through ``Graph.neighbors``."""
+    return [g.neighbors(u) for u in range(g.node_count)]
+
+
 def graph_from_edges(n, edges):
     builder = GraphBuilder(n)
     for u, v in edges:
         builder.add_edge(u, v)
     return builder.build()
+
+
+def reference_parse_edge_list(text):
+    """The per-node set parse that ``graph.parse_edge_list`` replaced."""
+    ids = {}
+    labels = []
+    adj = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(COMMENT_PREFIXES):
+            continue
+        tokens = stripped.split()
+        if len(tokens) < 2:
+            raise EdgeListError(f"line {lineno}: expected two node tokens, got {len(tokens)}")
+        a, b = tokens[0], tokens[1]
+        if a == b:
+            continue
+        for tok in (a, b):
+            if tok not in ids:
+                ids[tok] = len(labels)
+                labels.append(tok)
+                adj.append(set())
+        u, v = ids[a], ids[b]
+        adj[u].add(v)
+        adj[v].add(u)
+    if not labels:
+        raise EdgeListError("no usable edges in input")
+    return Graph([sorted(nbrs) for nbrs in adj], labels=labels)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,7 +134,7 @@ def connected_components(g):
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in g.adjacency[u]:
+            for v in g.neighbors(u):
                 if label[v] < 0:
                     label[v] = comp
                     size += 1
@@ -112,7 +145,7 @@ def connected_components(g):
 
 def degree_sequence(g):
     """Degrees in node-id order; sums to 2*edge_count."""
-    return tuple(len(nbrs) for nbrs in g.adjacency)
+    return tuple(g.degree_array.tolist())
 
 
 def relabel(g, permutation):
@@ -125,7 +158,7 @@ def relabel(g, permutation):
     labels = [""] * n
     for u in range(n):
         labels[perm[u]] = g.labels[u]
-        adj[perm[u]] = sorted(perm[v] for v in g.adjacency[u])
+        adj[perm[u]] = sorted(perm[v] for v in g.neighbors(u))
     return Graph(tuple(tuple(a) for a in adj), labels=tuple(labels))
 
 
@@ -156,7 +189,7 @@ def oracle_average_degree(g):
 
 def oracle_assortativity(g):
     """Direct Pearson over both orientations of every edge."""
-    deg = [g.degree(u) for u in range(g.node_count)]
+    deg = g.degree_array.tolist()
     xs, ys = [], []
     for u, v in g.edges():
         xs.extend([deg[u] - 1, deg[v] - 1])
@@ -170,13 +203,14 @@ def oracle_assortativity(g):
 
 def reference_average_clustering(g):
     """Node-wise mean of local clustering, summed by ``sum()`` in node order."""
-    sets = [set(nbrs) for nbrs in g.adjacency]
+    rows = rows_of(g)
+    sets = [set(nbrs) for nbrs in rows]
 
     def local(u):
-        d = len(g.adjacency[u])
+        d = len(rows[u])
         if d < 2:
             return 0.0
-        return sum(len(sets[u] & sets[v]) for v in g.adjacency[u]) / (d * (d - 1))
+        return sum(len(sets[u] & sets[v]) for v in rows[u]) / (d * (d - 1))
 
     return sum(local(u) for u in range(g.node_count)) / g.node_count
 
@@ -225,13 +259,13 @@ def reference_max_eigenvector_centrality(g, tol=1e-10, max_iter=10_000):
 
 def oracle_average_clustering(g):
     """Neighbor-pair enumeration per node."""
+    rows = rows_of(g)
     total = 0.0
-    for u in range(g.node_count):
-        nbrs = g.adjacency[u]
+    for nbrs in rows:
         if len(nbrs) < 2:
             continue
         linked = sum(
-            1 for s, t in itertools.combinations(nbrs, 2) if t in g.adjacency[s]
+            1 for s, t in itertools.combinations(nbrs, 2) if t in rows[s]
         )
         total += linked / (len(nbrs) * (len(nbrs) - 1) / 2)
     return total / g.node_count
@@ -263,7 +297,7 @@ def oracle_avg_path_length_normalized(g):
 
 
 def oracle_degree_skewness(g):
-    deg = np.array([g.degree(u) for u in range(g.node_count)], dtype=float)
+    deg = g.degree_array.astype(float)
     m2 = float(np.mean((deg - deg.mean()) ** 2))
     m3 = float(np.mean((deg - deg.mean()) ** 3))
     return 0.0 if m2 == 0.0 else m3 / m2**1.5
@@ -281,7 +315,7 @@ ORACLES = {
 
 
 def oracle_jdm_entries(g):
-    deg = [g.degree(u) for u in range(g.node_count)]
+    deg = g.degree_array.tolist()
     out = {}
     for u, v in g.edges():
         key = tuple(sorted((deg[u], deg[v])))
@@ -297,7 +331,7 @@ def reference_distance_totals(g):
     and one synchronous round advances every frontier by one hop.
     """
     n = g.node_count
-    adj = g.adjacency
+    adj = rows_of(g)
     reach = [1 << u for u in range(n)]
     alive = range(n)
     total = 0

@@ -406,9 +406,21 @@ class TestBadOptionValues:
              "error: config {svm_config}:1: model must be one of tree, forest, got 'svm'"),
             (["--config", "{folds_config}", "classify", "{dataset}", "--task", "category"],
              "error: config {folds_config}:1: folds must be at least 2, got 1"),
+            (["pipeline", "{manifest}", "--jobs", "0"],
+             "argument --jobs: must be at least 1, got 0"),
+            (["--config", "{latin1_config}", "fit", "{graph}"],
+             "error: config {latin1_config}:2: not UTF-8 text"),
+            (["pipeline", "{latin1_manifest}"],
+             "error: manifest {latin1_manifest}:3: not UTF-8 text"),
+            (["pipeline", "{nul_manifest}"],
+             "error: manifest {nul_manifest}:3: NUL byte in the path field"),
+            (["pipeline", "{nul_name_manifest}"],
+             "error: manifest {nul_name_manifest}:2: NUL byte in the name field"),
         ],
         ids=["fit-replicates-0", "replicates-1", "stability-budget-0", "pipeline-budget-0",
-             "generate-seed-minus-1", "folds-1", "folds-100", "config-model-svm", "config-folds-1"],
+             "generate-seed-minus-1", "folds-1", "folds-100", "config-model-svm", "config-folds-1",
+             "pipeline-jobs-0", "config-not-utf8", "manifest-not-utf8", "manifest-nul-path",
+             "manifest-nul-name"],
     )
     def test_exit_2_before_any_work(self, tmp_path, capsys, argv, message):
         dataset = tmp_path / "dataset.csv"
@@ -419,9 +431,17 @@ class TestBadOptionValues:
         paths = {"graph": corpus_manifest().parent / "chems_04.txt",
                  "manifest": corpus_manifest(), "dataset": dataset,
                  "svm_config": tmp_path / "svm.cfg", "folds_config": tmp_path / "folds.cfg",
-                 "params": tmp_path / "ws.json"}
+                 "params": tmp_path / "ws.json", "latin1_config": tmp_path / "latin1.cfg",
+                 "latin1_manifest": tmp_path / "latin1.csv", "nul_manifest": tmp_path / "nul.csv",
+                 "nul_name_manifest": tmp_path / "nul_name.csv"}
         paths["svm_config"].write_text("model = svm\n")
         paths["folds_config"].write_text("folds = 1\n")
+        paths["latin1_config"].write_bytes(b"seed = 1\n# r\xe9sum\xe9\n")
+        paths["latin1_manifest"].write_bytes(
+            b"name,path,domain\nchems_04,chems_04.txt,chems\nfood_00,caf\xe9.txt,food\n")
+        paths["nul_manifest"].write_text(
+            "name,path,domain\nchems_04,chems_04.txt,chems\nfood_00,food\x0000.txt,food\n")
+        paths["nul_name_manifest"].write_text("name,path,domain\nchems\x0004,chems_04.txt,chems\n")
         paths["params"].write_text('{"model": "WS", "params": {"n": 10, "K": 2, "p": 0.5}}')
         out = tmp_path / "out"
         argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
@@ -444,6 +464,16 @@ def test_cli_import_leaves_process_pool_unloaded():
     src = str(Path(netfit.__file__).resolve().parents[1])
     code = ("import sys, netfit.cli; "
             "print('concurrent.futures.process' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_classify_unloaded():
+    import netfit
+
+    src = str(Path(netfit.__file__).resolve().parents[1])
+    code = "import sys, netfit.cli; print('netfit.classify' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"

@@ -19,6 +19,7 @@ from netfit.graph import (
     EdgeListError,
     Graph,
     parse_edge_list,
+    row_arrays,
     serialize_edge_list,
 )
 
@@ -29,6 +30,7 @@ from helpers import (
     connected_components,
     degree_sequence,
     graph_from_edges,
+    reference_parse_edge_list,
     relabel,
 )
 
@@ -93,24 +95,125 @@ class TestParseEdgeList:
         assert "n4" in serialize_edge_list(g)
 
 
-class TestGraphInvariants:
-    @pytest.mark.parametrize(
-        "adjacency,message",
-        [
-            (((1,), (0,), (2,)), "self-loop at node 2"),
-            (((2, 1), (0,), (0,)), "adjacency of node 0 not sorted/unique"),
-            (((1,), (0, 2, 2), (1,)), "adjacency of node 1 not sorted/unique"),
-            (((1,), (0, 4), (), ()), "neighbor 4 of node 1 out of range"),
-            (((1,), (-1, 0)), "neighbor -1 of node 1 out of range"),
-            (((1, 2), (0,), ()), "edge 0-2 not symmetric"),
-            (((1,), (0,), (), (0,)), "edge 3-0 not symmetric"),
-        ],
-        ids=["self-loop", "unsorted", "duplicate", "out-of-range", "negative", "asymmetric",
-             "asymmetric-reverse"],
+INVALID_ROWS = [
+    (((1,), (0,), (2,)), "self-loop at node 2"),
+    (((2, 1), (0,), (0,)), "adjacency of node 0 not sorted/unique"),
+    (((1,), (0, 2, 2), (1,)), "adjacency of node 1 not sorted/unique"),
+    (((1,), (0, 4), (), ()), "neighbor 4 of node 1 out of range"),
+    (((1,), (-1, 0)), "neighbor -1 of node 1 out of range"),
+    (((1, 2), (0,), ()), "edge 0-2 not symmetric"),
+    (((1,), (0,), (), (0,)), "edge 3-0 not symmetric"),
+]
+INVALID_IDS = ["self-loop", "unsorted", "duplicate", "out-of-range", "negative", "asymmetric",
+               "asymmetric-reverse"]
+
+
+def _parse_outcome(parse, text):
+    """What a parse gives: (labels, degrees, src, dst) as lists, or its EdgeListError text."""
+    try:
+        g = parse(text)
+    except EdgeListError as exc:
+        return str(exc)
+    src, dst = g.edge_endpoints
+    return g.labels, g.degree_array.tolist(), src.tolist(), dst.tolist()
+
+
+TOKENS = st.sampled_from(["a", "b", "c", "d", "7", "07", "x1", "é"])
+FILLER = st.sampled_from([" ", "  ", "\t", " \t "])
+EDGE_LINE = st.builds(
+    lambda lead, a, sep, b, extra: lead + a + sep + b + "".join(" " + t for t in extra),
+    st.sampled_from(["", " ", "\t"]), TOKENS, FILLER, TOKENS,
+    st.lists(st.sampled_from(["1.5", "w", "-2", "#", "a"]), max_size=2),
+)
+SELF_LOOP_LINE = TOKENS.map(lambda t: f"{t} {t}")
+COMMENT_LINE = st.builds(lambda lead, prefix, body: lead + prefix + body,
+                         st.sampled_from(["", "  "]), st.sampled_from(["#", "%"]),
+                         st.sampled_from(["", " a b", "x", " 1 2 3"]))
+BLANK_LINE = st.sampled_from(["", " ", "\t"])
+ONE_TOKEN_LINE = st.builds(lambda lead, t: lead + t, st.sampled_from(["", " "]), TOKENS)
+
+
+class TestParseMatchesReference:
+    """The array parse gives what the per-node set parse gave."""
+
+    @pytest.mark.parametrize("name", [r[0] for r in make_corpus.corpus_recipes()])
+    def test_corpus_file(self, name):
+        text = (corpus_manifest().parent / f"{name}.txt").read_text(encoding="utf-8")
+        assert _parse_outcome(parse_edge_list, text) == \
+            _parse_outcome(reference_parse_edge_list, text)
+
+    @given(
+        st.lists(st.one_of(EDGE_LINE, EDGE_LINE, EDGE_LINE, SELF_LOOP_LINE, COMMENT_LINE,
+                           BLANK_LINE), max_size=40),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
     )
+    @settings(max_examples=300, deadline=None)
+    def test_generated_edge_lists(self, lines, newline, trailing):
+        text = newline.join(lines) + (newline if trailing else "")
+        assert _parse_outcome(parse_edge_list, text) == \
+            _parse_outcome(reference_parse_edge_list, text)
+
+    @given(st.lists(st.one_of(EDGE_LINE, SELF_LOOP_LINE, COMMENT_LINE), max_size=10),
+           ONE_TOKEN_LINE, st.lists(EDGE_LINE, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_one_token_line_error(self, before, bad, after):
+        text = "\n".join(before + [bad] + after)
+        outcome = _parse_outcome(parse_edge_list, text)
+        assert outcome == _parse_outcome(reference_parse_edge_list, text)
+        assert outcome.startswith("line ")
+
+    def test_node_only_in_self_loop_is_dropped(self):
+        text = "q q\na b\nb a\na b 2.0\nc c\n% c d\nc a\n"
+        outcome = _parse_outcome(parse_edge_list, text)
+        assert outcome == _parse_outcome(reference_parse_edge_list, text)
+        assert outcome[0] == ("a", "b", "c")
+
+
+class TestGraphInvariants:
+    @pytest.mark.parametrize("adjacency,message", INVALID_ROWS, ids=INVALID_IDS)
     def test_rejects_invalid_adjacency(self, adjacency, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Graph(adjacency)
+
+    @pytest.mark.parametrize("adjacency,message", INVALID_ROWS, ids=INVALID_IDS)
+    def test_array_entry_point_runs_the_same_check(self, adjacency, message):
+        deg, _, dst = row_arrays(adjacency)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph.from_arrays(deg, dst)
+
+    @pytest.mark.parametrize(
+        "deg,dst,message",
+        [
+            ([1, 1], [1, 0, 0], "degrees do not match the rows"),
+            ([2, -1, 1], [1, 2], "degrees do not match the rows"),
+            ([[1, 1]], [1, 0], "degrees and rows must be 1-D int64 arrays"),
+            (np.array([1, 1], dtype=np.int32), [1, 0], "degrees and rows must be 1-D int64 arrays"),
+            ([1, 1], [1.0, 0.0], "degrees and rows must be 1-D int64 arrays"),
+        ],
+        ids=["too-many-entries", "negative-degree", "2-D", "int32", "float"],
+    )
+    def test_array_entry_point_refuses_malformed_arrays(self, deg, dst, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph.from_arrays(np.asarray(deg), np.asarray(dst))
+
+    def test_equality_reads_the_arrays_and_hashing_is_gone(self):
+        g = graph_from_edges(3, [(0, 1), (1, 2)])
+        assert g == parse_edge_list("0 1\n1 2\n")
+        assert g == Graph(((1,), (0, 2), (1,)), labels=("x", "y", "z"))
+        assert g != graph_from_edges(3, [(0, 1), (0, 2)])
+        assert g != graph_from_edges(4, [(0, 1), (1, 2)])
+        assert g != "not a graph"
+        with pytest.raises(TypeError):
+            hash(g)
+
+    def test_neighbors_and_edges_read_the_arrays(self):
+        g = graph_from_edges(5, [(3, 0), (0, 4), (3, 4), (1, 3)])
+        assert [g.neighbors(u) for u in range(5)] == [(3, 4), (3,), (), (0, 1, 4), (0, 3)]
+        assert list(g.edges()) == [(0, 3), (0, 4), (1, 3), (3, 4)]
+        for u in (-1, 5):
+            with pytest.raises(IndexError):
+                g.neighbors(u)
 
     def test_first_fault_in_node_order_is_named(self):
         # node 1 has a self-loop and node 3 is out of range; node 1 comes first
@@ -219,10 +322,11 @@ class TestKeptArrays:
                 arr[:1] = 0
 
     def test_equal_the_rows(self, g):
-        deg = [len(nbrs) for nbrs in g.adjacency]
+        rows = [g.neighbors(u) for u in range(g.node_count)]
+        deg = [len(nbrs) for nbrs in rows]
         src, dst = g.edge_endpoints
         assert g.degree_array.dtype == src.dtype == dst.dtype == np.int64
         assert g.degree_array.tolist() == deg
         assert src.tolist() == np.repeat(np.arange(g.node_count), deg).tolist()
-        assert dst.tolist() == [v for nbrs in g.adjacency for v in nbrs]
+        assert dst.tolist() == [v for nbrs in rows for v in nbrs]
         assert len(dst) == 2 * g.edge_count

@@ -150,7 +150,7 @@ class TestClustering:
 
 
 def _rows(g):
-    return [set(nbrs) for nbrs in g.adjacency]
+    return [set(g.neighbors(u)) for u in range(g.node_count)]
 
 
 def _same_clustering(g):

@@ -53,7 +53,7 @@ def build_graph(rng, domain):
         ),
         int(rng.integers(2**48)),
     )
-    adj = [set(nbrs) for nbrs in core.adjacency]
+    adj = [set(core.neighbors(u)) for u in range(core.node_count)]
 
     def link(u, v):
         adj[u].add(v)
