@@ -33,8 +33,6 @@ FEATURE_FIELDS = (
     "skew_deg_dist",
 )
 
-TASKS = ("domain", "category", "subcategory")
-
 
 class ClassSupportError(ValueError):
     """The data has too few samples or classes for the requested evaluation."""

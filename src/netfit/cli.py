@@ -29,7 +29,7 @@ from .fitting import (
 )
 from .generators import generate
 from .gof import correlation_matrix, mean_distance_matrix, pca_project
-from .graph import EdgeListError, load_edge_list, save_edge_list, serialize_edge_list
+from .graph import EdgeListError, load_edge_list, save_edge_list, serialize_edge_list, utf8_text
 from .metrics import PowerIterationError, feature_vector
 from .stability import StabilityError, stability_run
 
@@ -40,20 +40,15 @@ class InputError(ValueError):
     """Malformed manifest, config or params file; the message names the file."""
 
 
-def _utf8_text(path, kind):
+def _input_text(path, kind):
     """The text of a ``kind`` file; InputError naming the line of a byte that is not UTF-8."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise InputError(f"{kind} {path}:{line}: not UTF-8 text") from None
+    return utf8_text(path, lambda line: InputError(f"{kind} {path}:{line}: not UTF-8 text"))
 
 
 def _read_config(path):
     """Parse a `key = value` config file into {key: (raw value, "config <path>:<line>")}."""
     values = {}
-    for lineno, line in enumerate(_utf8_text(path, "config").splitlines(), 1):
+    for lineno, line in enumerate(_input_text(path, "config").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -162,9 +157,9 @@ def cmd_fit(args):
 
 
 def cmd_generate(args):
+    text = _input_text(args.params, "params")
     try:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            model, params, file_seed = params_from_json_obj(json.load(fh))
+        model, params, file_seed = params_from_json_obj(json.loads(text))
     except ValueError as exc:
         raise InputError(f"params {args.params}: {exc}") from None
     if args.seed is None:
@@ -192,7 +187,7 @@ def _read_manifest(path):
     base = Path(path).parent
     entries = []
     names = set()
-    reader = csv.reader(io.StringIO(_utf8_text(path, "manifest"), newline=None))
+    reader = csv.reader(io.StringIO(_input_text(path, "manifest"), newline=None))
     header = next(reader, [])
     if [h.strip() for h in header] != ["name", "path", "domain"]:
         raise InputError(f"manifest {path}:1: header must be name,path,domain")
@@ -212,6 +207,8 @@ def _read_manifest(path):
         for field, value in (("name", name), ("path", rel)):
             if "\0" in value:  # no file name can hold one
                 raise InputError(f"{where}: NUL byte in the {field} field")
+        if "/" in name or "\\" in name:  # output files are named after it
+            raise InputError(f"{where}: name {name!r} must be a file-name stem, without / or \\")
         names.add(name)
         entries.append((name, str((base / rel).resolve()), domain))
     return entries

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import MODELS
+from .graph import utf8_text
 from .metrics import CSV_HEADER, METRIC_FIELDS, FeatureVector
 
 DOMAINS = ("social", "food", "brain", "chems")
@@ -134,8 +135,9 @@ class DatasetTable:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls._read(fh, f"dataset {path}")
+        source = f"dataset {path}"
+        text = utf8_text(path, lambda line: DatasetError(f"{source}:{line}: not UTF-8 text"))
+        return cls._read(io.StringIO(text, newline=None), source)
 
     @classmethod
     def _read(cls, lines, source):
@@ -166,8 +168,6 @@ class DatasetTable:
                 rows.append(row)
         except (DatasetError, csv.Error) as exc:
             raise DatasetError(f"{source}:{max(reader.line_num, 1)}: {exc}") from None
-        except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
-            raise DatasetError(f"{source}: {exc}") from None
         return cls._checked(rows)
 
 

@@ -182,36 +182,47 @@ def ws_base_params(g):
     return n, K, tuple(notes)
 
 
-def fit_ws(g, mode="clustering", budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
-    """Fit WS by matching clustering ("clustering") or degree std ("degree_std").
+def _fit_searched(model, params_at, rows, measure, target, rises, lo, hi, budget,
+                  replicates, seed, notes=(), log_space=False):
+    """FitReport of the p in [lo, hi] whose generated ``measure`` matches ``target``.
 
-    The rewiring probability is searched in log space over [0.001, 1]; the
-    lower bound avoids the degenerate lattice. Clustering falls with p and
-    degree std rises.
+    ``params_at(q)`` is the model's params at candidate q and ``rows``
+    its row builder; the metric rises with p when ``rises`` is true.
     """
-    if mode not in ("clustering", "degree_std"):
-        raise ValueError(f"unknown WS fit mode {mode!r}")
-    n, K, notes = ws_base_params(g)
-    if mode == "clustering":
-        measure, target = clustering_of_rows, average_clustering(g)
-    else:
-        measure, target = _degree_std, float(np.std(g.degree_array))
-
     def simulate(q, s):
-        return measure(ws_rows(WSParams(n=n, K=K, p=q), s))
+        return measure(rows(params_at(q), s))
 
     q, objective, evaluations, bound_notes = _search(
-        simulate, target, mode == "degree_std", 0.001, 1.0, budget, replicates, seed,
-        log_space=True)
+        simulate, target, rises, lo, hi, budget, replicates, seed, log_space=log_space)
     return FitReport(
-        model="WS" if mode == "clustering" else "WS_STD",
-        params=WSParams(n=n, K=K, p=q),
+        model=model,
+        params=params_at(q),
         objective_value=objective,
         evaluations=evaluations,
         replicates_per_eval=replicates,
         seed=seed,
         notes=notes + bound_notes,
     )
+
+
+def _fit_ws(g, model, measure, target, rises, budget, replicates, seed):
+    """WS fit: (n, K) from :func:`ws_base_params`, p searched in log space
+    over [0.001, 1]; the lower bound avoids the degenerate lattice."""
+    n, K, notes = ws_base_params(g)
+    return _fit_searched(model, lambda q: WSParams(n=n, K=K, p=q), ws_rows, measure, target,
+                         rises, 0.001, 1.0, budget, replicates, seed, notes, log_space=True)
+
+
+def fit_ws(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
+    """Fit WS by matching clustering, which falls with p."""
+    return _fit_ws(g, "WS", clustering_of_rows, average_clustering(g), False,
+                   budget, replicates, seed)
+
+
+def fit_ws_std(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
+    """Fit WS_STD: WS by matching degree std, which rises with p."""
+    return _fit_ws(g, "WS_STD", _degree_std, float(np.std(g.degree_array)), True,
+                   budget, replicates, seed)
 
 
 def fit_cba(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
@@ -225,21 +236,9 @@ def fit_cba(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
     if m >= n:
         m = n - 1
         notes = (f"m clamped to {m} (n={n})",)
-
-    def simulate(q, s):
-        return clustering_of_rows(cba_rows(CBAParams(n=n, m=m, p=q), s))
-
-    q, objective, evaluations, bound_notes = _search(
-        simulate, average_clustering(g), True, 0.0, 1.0, budget, replicates, seed)
-    return FitReport(
-        model="CBA",
-        params=CBAParams(n=n, m=m, p=q),
-        objective_value=objective,
-        evaluations=evaluations,
-        replicates_per_eval=replicates,
-        seed=seed,
-        notes=notes + bound_notes,
-    )
+    return _fit_searched("CBA", lambda q: CBAParams(n=n, m=m, p=q), cba_rows,
+                         clustering_of_rows, average_clustering(g), True, 0.0, 1.0,
+                         budget, replicates, seed, notes)
 
 
 def fit_dd(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
@@ -247,21 +246,9 @@ def fit_dd(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
     n = g.node_count
     if n < 2:
         raise UnfittableError("DD needs at least 2 nodes")
-
-    def simulate(q, s):
-        return edge_density(n, sum(map(len, dd_rows(DDParams(n=n, p=q), s))) // 2)
-
-    q, objective, evaluations, notes = _search(
-        simulate, density(g), True, 0.02, 1.0, budget, replicates, seed)
-    return FitReport(
-        model="DD",
-        params=DDParams(n=n, p=q),
-        objective_value=objective,
-        evaluations=evaluations,
-        replicates_per_eval=replicates,
-        seed=seed,
-        notes=notes,
-    )
+    return _fit_searched("DD", lambda q: DDParams(n=n, p=q), dd_rows,
+                         lambda rows: edge_density(n, sum(map(len, rows)) // 2), density(g),
+                         True, 0.02, 1.0, budget, replicates, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +449,8 @@ class ModelSpec:
 
 # Every model, in pipeline order (the row order of dataset.csv).
 MODELS = (
-    ModelSpec("WS", WSParams, lambda g, b, r, s: fit_ws(g, "clustering", b, r, s)),
-    ModelSpec("WS_STD", WSParams, lambda g, b, r, s: fit_ws(g, "degree_std", b, r, s),
-              competes=False),
+    ModelSpec("WS", WSParams, fit_ws),
+    ModelSpec("WS_STD", WSParams, fit_ws_std, competes=False),
     ModelSpec("CBA", CBAParams, fit_cba),
     ModelSpec("DD", DDParams, fit_dd),
     ModelSpec("Com", CommunityParams, lambda g, b, r, s: fit_community(g, seed=s)),

@@ -150,9 +150,7 @@ class TwoKParams:
     jdm: JointDegreeMatrix
 
     def validate(self):
-        report = validate_jdm(self.jdm)
-        if not report.valid:
-            raise ParameterError("invalid joint degree matrix: " + "; ".join(report.violations))
+        validate_jdm(self.jdm)
 
     def to_json_obj(self):
         return {"jdm": self.jdm.to_json_obj()}
@@ -410,20 +408,14 @@ def _row_start(u, s):
 # 2K construction
 
 
-@dataclass(frozen=True)
-class JdmValidation:
-    valid: bool
-    violations: tuple
-    degree_counts: dict
-
-
 def validate_jdm(jdm):
-    """Check the graphicality conditions of a joint degree matrix.
+    """Class sizes ``{k: n_k}`` of a realizable joint degree matrix.
 
     A JDM is realizable as a simple graph iff every implied class size
     n_k = (endpoint total of degree k) / k is a positive integer and no
     class pair demands more edges than distinct node pairs exist:
     entries[k,l] <= n_k*n_l for k != l and entries[k,k] <= n_k(n_k-1)/2.
+    Otherwise a ParameterError lists every violation.
     """
     violations = []
     for (k, l), c in sorted(jdm.entries.items()):
@@ -448,7 +440,9 @@ def validate_jdm(jdm):
                     violations.append(f"entry ({k},{k})={c} exceeds n_k(n_k-1)/2={cap}")
             elif c > nk * nl:
                 violations.append(f"entry ({k},{l})={c} exceeds n_k*n_l={nk * nl}")
-    return JdmValidation(valid=not violations, violations=tuple(violations), degree_counts=counts)
+    if violations:
+        raise ParameterError("invalid joint degree matrix: " + "; ".join(violations))
+    return counts
 
 
 def generate_2k(jdm, seed):
@@ -466,10 +460,7 @@ def generate_2k(jdm, seed):
     its open node pairs instead, so no entry near its cap costs more
     than O(n_k * n_l) per class pair.
     """
-    report = validate_jdm(jdm)
-    if not report.valid:
-        raise ParameterError("invalid joint degree matrix: " + "; ".join(report.violations))
-    counts = report.degree_counts
+    counts = validate_jdm(jdm)
     start = {}  # first node id of each degree class
     target = []
     for k in sorted(counts):

@@ -12,6 +12,7 @@ to :meth:`Graph.from_arrays`. Both end in the same check.
 from __future__ import annotations
 
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -205,12 +206,27 @@ def serialize_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
+def utf8_text(path, error):
+    """The text of the file at ``path``, decoded as UTF-8.
+
+    A byte that is not UTF-8 raises ``error(line)``, where ``line`` is
+    the 1-based line that holds it, counting ``\n``, ``\r\n`` and ``\r``
+    as line ends. Line ends are left as they are in the text.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the slice ends in the bad byte, which is no line end
+        raise error(len(data[: exc.start + 1].splitlines())) from None
+
+
 def load_edge_list(path):
     """Parse the edge-list file at ``path``; an EdgeListError names the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
-    except (EdgeListError, UnicodeDecodeError) as exc:
+        return parse_edge_list(
+            utf8_text(path, lambda line: EdgeListError(f"line {line}: not UTF-8 text")))
+    except EdgeListError as exc:
         raise EdgeListError(f"{path}: {exc}") from None
 
 

@@ -19,13 +19,12 @@ def canonical_key(k, l):
 class JointDegreeMatrix:
     """Sparse JDM: ``entries[(k, l)] -> edge count`` with k <= l keys.
 
-    ``degree_counts`` maps degree k to the number n_k of degree-k nodes;
-    when omitted it is derived from the entries (each degree-k node
-    contributes k edge endpoints, so n_k = endpoints_k / k).
+    The class sizes n_k follow from the entries (each degree-k node
+    contributes k edge endpoints); :func:`netfit.generators.validate_jdm`
+    computes them.
     """
 
     entries: dict = field(default_factory=dict)
-    degree_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         norm = {}
@@ -33,12 +32,6 @@ class JointDegreeMatrix:
             key = canonical_key(int(k), int(l))
             norm[key] = norm.get(key, 0) + int(c)
         object.__setattr__(self, "entries", norm)
-        if not self.degree_counts:
-            object.__setattr__(self, "degree_counts", self._derive_counts())
-        else:
-            object.__setattr__(
-                self, "degree_counts", {int(k): int(v) for k, v in self.degree_counts.items()}
-            )
 
     def endpoint_totals(self):
         """Edge endpoints per degree k; an entry (k, k) counts twice."""
@@ -47,14 +40,6 @@ class JointDegreeMatrix:
             totals[k] = totals.get(k, 0) + c
             totals[l] = totals.get(l, 0) + c
         return totals
-
-    def _derive_counts(self):
-        counts = {}
-        for k, total in sorted(self.endpoint_totals().items()):
-            if k <= 0:
-                continue
-            counts[k] = total / k  # may be non-integral; validate_jdm flags it
-        return counts
 
     def to_json_obj(self):
         return {

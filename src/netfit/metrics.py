@@ -540,6 +540,4 @@ def joint_degree_matrix(g):
     """JDM of g: per (k, l) degree pair, the number of joining edges."""
     if g.edge_count < 1:
         raise MetricDomainError("joint degree matrix requires at least 1 edge")
-    pairs = _edge_degree_pair_counts(g)
-    counts = Counter(int(d) for d in g.degree_array if d > 0)
-    return JointDegreeMatrix(entries=dict(pairs), degree_counts=dict(counts))
+    return JointDegreeMatrix(entries=dict(_edge_degree_pair_counts(g)))

@@ -15,11 +15,9 @@ import numpy as np
 from . import seeds
 from .dataset import csv_text
 from .generators import ConstructionError, GenerationError, generate
-from .metrics import FeatureVector, MetricDomainError, PowerIterationError, feature_vector
+from .metrics import METRIC_FIELDS, MetricDomainError, PowerIterationError, feature_vector
 
-SUMMARY_FIELDS = ("size",) + tuple(
-    f for f in FeatureVector.__dataclass_fields__ if f != "size"
-)
+SUMMARY_FIELDS = ("size",) + METRIC_FIELDS
 
 
 class StabilityError(RuntimeError):

@@ -124,7 +124,7 @@ def test_criterion_3_fit_self_recovery():
     target metric within 0.03 on n=500 targets, 5 replicates/eval. <5 min."""
     start = time.time()
     ws_target = generate_ws(WSParams(500, 6, 0.05), 1001)
-    ws_fit = fit_ws(ws_target, "clustering", budget=60, replicates=5, seed=31)
+    ws_fit = fit_ws(ws_target, budget=60, replicates=5, seed=31)
     assert abs(ws_fit.params.p - 0.05) <= 0.1, f"WS p̂={ws_fit.params.p}"
     remeasured = np.mean(
         [average_clustering(generate_ws(ws_fit.params, seeds.xor_index(77, r)))

@@ -21,7 +21,7 @@ CYCLE12 = "".join(f"{i} {(i + 1) % 12}\n" for i in range(12))
 
 @pytest.fixture
 def one_step_solver(monkeypatch):
-    """Power iteration capped at one step: it converges on regular graphs only."""
+    """Lanczos capped at one step: it converges on regular graphs only."""
     capped = functools.partial(metrics.max_eigenvector_centrality, max_iter=1)
     monkeypatch.setattr(metrics, "max_eigenvector_centrality", capped)
 
@@ -93,6 +93,17 @@ class TestMeasure:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err == f"error: {bad}: line 2: expected two node tokens, got 1\n"
+
+    def test_not_utf8_edge_list_names_line_and_keeps_other_rows(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"a b\nb caf\xe9\n")
+        good = tmp_path / "tri.txt"
+        good.write_text(TRIANGLE)
+        out = tmp_path / "f.csv"
+        assert main(["measure", str(bad), str(good), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 2: not UTF-8 text\n"
+        names = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert names == ["tri"]
 
     def test_power_iteration_failure_keeps_other_rows(self, tmp_path, capsys, one_step_solver):
         ring = tmp_path / "ring.txt"
@@ -416,11 +427,26 @@ class TestBadOptionValues:
              "error: manifest {nul_manifest}:3: NUL byte in the path field"),
             (["pipeline", "{nul_name_manifest}"],
              "error: manifest {nul_name_manifest}:2: NUL byte in the name field"),
+            (["pipeline", "{slash_manifest}"],
+             "error: manifest {slash_manifest}:3: name 'sub/food_00' must be a file-name stem, "
+             "without / or \\"),
+            (["pipeline", "{dotdot_manifest}"],
+             "error: manifest {dotdot_manifest}:2: name '../../x' must be a file-name stem, "
+             "without / or \\"),
+            (["pipeline", "{backslash_manifest}"],
+             "error: manifest {backslash_manifest}:2: name 'sub\\\\x' must be a file-name "
+             "stem, without / or \\"),
+            (["fit", "{latin1_graph}"], "error: {latin1_graph}: line 3: not UTF-8 text"),
+            (["classify", "{latin1_dataset}", "--task", "domain"],
+             "error: dataset {latin1_dataset}:2: not UTF-8 text"),
+            (["generate", "{latin1_params}"], "error: params {latin1_params}:2: not UTF-8 text"),
         ],
         ids=["fit-replicates-0", "replicates-1", "stability-budget-0", "pipeline-budget-0",
              "generate-seed-minus-1", "folds-1", "folds-100", "config-model-svm", "config-folds-1",
              "pipeline-jobs-0", "config-not-utf8", "manifest-not-utf8", "manifest-nul-path",
-             "manifest-nul-name"],
+             "manifest-nul-name", "manifest-name-slash", "manifest-name-dotdot",
+             "manifest-name-backslash", "edge-list-not-utf8", "dataset-not-utf8",
+             "params-not-utf8"],
     )
     def test_exit_2_before_any_work(self, tmp_path, capsys, argv, message):
         dataset = tmp_path / "dataset.csv"
@@ -433,7 +459,13 @@ class TestBadOptionValues:
                  "svm_config": tmp_path / "svm.cfg", "folds_config": tmp_path / "folds.cfg",
                  "params": tmp_path / "ws.json", "latin1_config": tmp_path / "latin1.cfg",
                  "latin1_manifest": tmp_path / "latin1.csv", "nul_manifest": tmp_path / "nul.csv",
-                 "nul_name_manifest": tmp_path / "nul_name.csv"}
+                 "nul_name_manifest": tmp_path / "nul_name.csv",
+                 "slash_manifest": tmp_path / "slash.csv",
+                 "dotdot_manifest": tmp_path / "dotdot.csv",
+                 "backslash_manifest": tmp_path / "backslash.csv",
+                 "latin1_graph": tmp_path / "latin1.txt",
+                 "latin1_dataset": tmp_path / "latin1_d.csv",
+                 "latin1_params": tmp_path / "latin1.json"}
         paths["svm_config"].write_text("model = svm\n")
         paths["folds_config"].write_text("folds = 1\n")
         paths["latin1_config"].write_bytes(b"seed = 1\n# r\xe9sum\xe9\n")
@@ -443,6 +475,19 @@ class TestBadOptionValues:
             "name,path,domain\nchems_04,chems_04.txt,chems\nfood_00,food\x0000.txt,food\n")
         paths["nul_name_manifest"].write_text("name,path,domain\nchems\x0004,chems_04.txt,chems\n")
         paths["params"].write_text('{"model": "WS", "params": {"n": 10, "K": 2, "p": 0.5}}')
+        corpus = corpus_manifest().parent
+        paths["slash_manifest"].write_text(
+            f"name,path,domain\nchems_04,{corpus}/chems_04.txt,chems\n"
+            f"sub/food_00,{corpus}/food_00.txt,food\n")
+        paths["dotdot_manifest"].write_text(
+            f"name,path,domain\n../../x,{corpus}/food_00.txt,food\n")
+        paths["backslash_manifest"].write_text(
+            f"name,path,domain\nsub\\x,{corpus}/food_00.txt,food\n")
+        paths["latin1_graph"].write_bytes(b"a b\rb c\r\nc caf\xe9\n")
+        paths["latin1_dataset"].write_bytes(
+            dataset.read_bytes().replace(b"a,10", b"\xe9,10"))
+        paths["latin1_params"].write_bytes(
+            b'{"model": "WS",\n "params": {"n": 10, "K": 2, "p": 0.5}, "note": "caf\xe9"}')
         out = tmp_path / "out"
         argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
         if "--seed" not in argv:

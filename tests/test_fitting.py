@@ -12,6 +12,7 @@ from netfit.fitting import (
     fit_dd,
     fit_model,
     fit_ws,
+    fit_ws_std,
     louvain,
     model_spec,
     modularity,
@@ -101,7 +102,7 @@ class TestFitWS:
 
     def test_lattice_boundary_recovery(self):
         g = generate_ws(WSParams(10, 4, 0.0), 0)
-        fit = fit_ws(g, "clustering", budget=25, replicates=2, seed=3)
+        fit = fit_ws(g, budget=25, replicates=2, seed=3)
         assert fit.params.p == pytest.approx(0.001)
 
     def test_never_below_lower_bound(self):
@@ -129,7 +130,7 @@ class TestFitWS:
 
     def test_degree_std_mode(self):
         g = generate_ws(WSParams(40, 4, 0.3), 5)
-        fit = fit_ws(g, "degree_std", budget=20, replicates=2, seed=2)
+        fit = fit_ws_std(g, budget=20, replicates=2, seed=2)
         assert fit.model == "WS_STD"
         assert 0.001 <= fit.params.p <= 1.0
 
@@ -217,7 +218,7 @@ class TestSearch:
              K4, 1.0, ("target beyond model range: p at bound 1.0",)),
             (lambda g: fit_cba(g, budget=15, replicates=2, seed=1),
              K44, 0.0, ("target beyond model range: p at bound 0.0",)),
-            (lambda g: fit_ws(g, "degree_std", budget=25, replicates=2, seed=1),
+            (lambda g: fit_ws_std(g, budget=25, replicates=2, seed=1),
              STAR, 1.0, ("target beyond model range: p at bound 1.0",)),
         ],
         ids=["WS-lattice", "CBA-tree", "DD-K4", "CBA-bipartite", "WS_STD-star"],

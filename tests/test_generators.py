@@ -319,26 +319,29 @@ class TestTriangularUnrank:
 
 class TestValidateJdm:
     def test_triangle_jdm_valid(self):
-        report = validate_jdm(JointDegreeMatrix({(2, 2): 3}))
-        assert report.valid
-        assert report.degree_counts == {2: 3}
+        assert validate_jdm(JointDegreeMatrix({(2, 2): 3})) == {2: 3}
 
     def test_non_integer_class_size(self):
-        report = validate_jdm(JointDegreeMatrix({(1, 2): 3}))
-        assert not report.valid
-        assert any("not divisible" in v for v in report.violations)
+        with pytest.raises(ParameterError, match="not divisible"):
+            validate_jdm(JointDegreeMatrix({(1, 2): 3}))
 
     def test_two_disjoint_edges_valid(self):
-        report = validate_jdm(JointDegreeMatrix({(1, 1): 2}))
-        assert report.valid
-        assert report.degree_counts == {1: 4}
+        assert validate_jdm(JointDegreeMatrix({(1, 1): 2})) == {1: 4}
 
     def test_cap_violation(self):
-        # 2 nodes of degree 1 can carry at most 1 mutual edge
-        report = validate_jdm(JointDegreeMatrix({(1, 1): 3}, degree_counts={1: 6}))
-        assert report.valid  # derived counts: 6 endpoints / 1 = 6 nodes, 3 edges fit
-        report = validate_jdm(JointDegreeMatrix({(2, 2): 2, (1, 2): 2}))
-        assert report.valid
+        # derived counts: 6 endpoints / 1 = 6 degree-1 nodes, and 3 edges fit
+        assert validate_jdm(JointDegreeMatrix({(1, 1): 3})) == {1: 6}
+        assert validate_jdm(JointDegreeMatrix({(2, 2): 2, (1, 2): 2})) == {1: 2, 2: 3}
+        # 3 edges inside degree class 3 need n_3 = 2 nodes, which hold one edge
+        with pytest.raises(ParameterError, match=r"entry \(3,3\)=3 exceeds n_k\(n_k-1\)/2=1"):
+            validate_jdm(JointDegreeMatrix({(3, 3): 3}))
+
+    def test_every_violation_listed(self):
+        with pytest.raises(ParameterError) as caught:
+            validate_jdm(JointDegreeMatrix({(2, 3): 1, (3, 3): 2}))
+        assert str(caught.value) == (
+            "invalid joint degree matrix: degree-2 endpoint total 1 not divisible by 2; "
+            "degree-3 endpoint total 5 not divisible by 3")
 
 
 STAR_HEAVY = graph_from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (4, 5), (4, 6)])
