@@ -17,12 +17,13 @@ stay out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import seeds
 from .fitting import MODELS
+from .graph import InputError
 
 FEATURE_FIELDS = (
     "assort",
@@ -34,7 +35,7 @@ FEATURE_FIELDS = (
 )
 
 
-class ClassSupportError(ValueError):
+class ClassSupportError(InputError):
     """The data has too few samples or classes for the requested evaluation."""
 
 
@@ -475,19 +476,10 @@ def run_task(table, task, model="forest", k=5, seed=0, domain=None, forest_confi
     auc = roc_auc(pooled_score, (data.labels == positive).astype(int)) if binary else None
     cfg = clf.config  # as trained, with the forest's features_per_split resolved
     if model == "forest":
-        hyper = {
-            "trees": cfg.trees,
-            "features_per_split": cfg.features_per_split,
-            "bootstrap": cfg.bootstrap,
-            "max_depth": cfg.max_depth,
-            "folds": k,
-        }
+        hyper = {**asdict(cfg), "folds": k}
     else:
-        hyper = {
-            "max_depth": cfg.max_depth,
-            "min_samples_split": cfg.min_samples_split,
-            "folds": k,
-        }
+        hyper = {"max_depth": cfg.max_depth, "min_samples_split": cfg.min_samples_split,
+                 "folds": k}
     return EvalReport(
         task=task,
         model=model,

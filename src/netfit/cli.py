@@ -18,26 +18,16 @@ from itertools import repeat
 from pathlib import Path
 
 from . import seeds
-from .dataset import DOMAINS, DatasetError, DatasetRow, DatasetTable, csv_text, write_feature_csv
-from .fitting import (
-    DEFAULT_BUDGET,
-    DEFAULT_REPLICATES,
-    MODELS,
-    UnfittableError,
-    fit_model,
-    params_from_json_obj,
-)
+from .dataset import DOMAINS, DatasetRow, DatasetTable, csv_text, write_feature_csv
+from .fitting import DEFAULT_BUDGET, DEFAULT_REPLICATES, MODELS, fit_model, params_from_json_obj
 from .generators import generate
 from .gof import correlation_matrix, mean_distance_matrix, pca_project
-from .graph import EdgeListError, load_edge_list, save_edge_list, serialize_edge_list, utf8_text
-from .metrics import PowerIterationError, feature_vector
-from .stability import StabilityError, stability_run
+from .graph import (EdgeListError, InputError, ItemFailure, load_edge_list, save_edge_list,
+                    serialize_edge_list, utf8_text)
+from .metrics import feature_vector
+from .stability import stability_run
 
 _UNSET = object()  # distinguishes "flag not given" from an explicit value
-
-
-class InputError(ValueError):
-    """Malformed manifest, config or params file; the message names the file."""
 
 
 def _input_text(path, kind):
@@ -121,10 +111,12 @@ def cmd_measure(args):
         try:
             g = load_edge_list(path)
             rows.append((Path(path).stem, feature_vector(g)))
-        except (OSError, ValueError, PowerIterationError) as exc:
+        except (OSError, EdgeListError) as exc:  # these name the file
             failures += 1
-            named = isinstance(exc, (EdgeListError, OSError))  # these name the file
-            print(f"error: {exc}" if named else f"error: {path}: {exc}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
+        except ItemFailure as exc:
+            failures += 1
+            print(f"error: {path}: {exc}", file=sys.stderr)
     text = write_feature_csv(rows)
     if args.out:
         _write(Path(args.out), text)
@@ -147,7 +139,7 @@ def cmd_fit(args):
     for model in models:
         try:
             report = _fit(g, name, model, seed, args.budget, args.fit_replicates)
-        except (ValueError, RuntimeError) as exc:
+        except ItemFailure as exc:
             failures += 1
             print(f"error: {model}: {exc}", file=sys.stderr)
             continue
@@ -165,7 +157,10 @@ def cmd_generate(args):
     if args.seed is None:
         args.seed = file_seed
     seed = _resolve_seed(args)
-    g = generate(params, seed)
+    try:
+        g = generate(params, seed)
+    except ItemFailure as exc:  # valid params the generator still cannot realize
+        raise InputError(f"params {args.params}: {exc}") from None
     if args.out:
         save_edge_list(g, args.out)
     else:
@@ -227,7 +222,7 @@ def _pipeline_one(entry, master_seed, budget, fit_replicates):
     try:
         g = load_edge_list(path)
         rows.append(DatasetRow(name, feature_vector(g), domain, "real", "Real"))
-    except (OSError, ValueError, PowerIterationError) as exc:
+    except (OSError, EdgeListError, ItemFailure) as exc:
         return [], {}, [f"{name}: {exc}"]
     for model in (spec.name for spec in MODELS):
         try:
@@ -236,7 +231,7 @@ def _pipeline_one(entry, master_seed, budget, fit_replicates):
             rows.append(DatasetRow(name, feature_vector(counterpart), domain, "model", model))
             artifacts[f"fits/{name}_{model}.json"] = _json_text(report.to_json_obj())
             artifacts[f"graphs/{name}_{model}.txt"] = serialize_edge_list(counterpart)
-        except (ValueError, RuntimeError) as exc:
+        except ItemFailure as exc:
             failures.append(f"{name}/{model}: {exc}")
     return rows, artifacts, failures
 
@@ -274,17 +269,21 @@ def cmd_pipeline(args):
 
 def cmd_gof(args):
     table = DatasetTable.from_csv(args.dataset)
+    real = table.filter(category="real")
+    try:
+        pca = pca_project(real) if len(real) >= 3 else None
+    except InputError as exc:
+        raise InputError(f"dataset {args.dataset}: {exc}") from None
     out_dir = Path(args.out)
     distances = mean_distance_matrix(table)
     for domain in table.domains_present():
         _write(out_dir / f"distance_{domain}.csv", distances.to_csv_text(domain))
-    real = table.filter(category="real")
     for domain in real.domains_present():
         sub = real.filter(domain=domain)
         if len(sub) >= 3:
             _write(out_dir / f"correlation_{domain}.csv", correlation_matrix(sub).to_csv_text())
-    if len(real) >= 3:
-        _write(out_dir / "pca.csv", pca_project(real).to_csv_text())
+    if pca is not None:
+        _write(out_dir / "pca.csv", pca.to_csv_text())
     if distances.unmatched:
         lines = [
             f"{domain},{name},missing:{'|'.join(missing)}"
@@ -307,13 +306,13 @@ def cmd_stability(args):
             continue
         try:
             fits.append(_fit(g, name, spec.name, seed, args.budget, args.fit_replicates))
-        except UnfittableError as exc:
+        except ItemFailure as exc:
             failures += 1
             print(f"error: {args.path}: {spec.name}: {exc}", file=sys.stderr)
     try:
         summary = stability_run(g, fits, replicates=args.replicates,
                                 seed=seeds.derive(seed, name, "stability"))
-    except StabilityError as exc:
+    except ItemFailure as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out)
@@ -323,7 +322,7 @@ def cmd_stability(args):
 
 
 def cmd_classify(args):
-    from .classify import ClassSupportError, run_task
+    from .classify import run_task
 
     seed = _resolve_seed(args)
     table = DatasetTable.from_csv(args.dataset)
@@ -334,7 +333,7 @@ def cmd_classify(args):
         try:
             reports.append(run_task(table, args.task, model=args.model, k=args.folds,
                                     seed=seed, domain=domain))
-        except ClassSupportError as exc:
+        except InputError as exc:
             where = f"dataset {args.dataset}" + (f" ({domain})" if domain else "")
             raise InputError(f"{where}: {exc}") from None
     for report in reports:
@@ -445,7 +444,7 @@ def main(argv=None):
         if getattr(args, "needs_out", False) and not args.out:
             parser.error(f"{args.command}: --out is required (flag or config file)")
         return args.func(args)
-    except (InputError, DatasetError, EdgeListError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

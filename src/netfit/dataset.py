@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import MODELS
-from .graph import utf8_text
+from .graph import InputError, utf8_text
 from .metrics import CSV_HEADER, METRIC_FIELDS, FeatureVector
 
 DOMAINS = ("social", "food", "brain", "chems")
@@ -27,7 +27,7 @@ SUBCATEGORIES = ("Real", "2K", "CBA") + tuple(
 )
 
 
-class DatasetError(ValueError):
+class DatasetError(InputError):
     """Malformed dataset table or CSV."""
 
 

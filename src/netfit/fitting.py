@@ -44,6 +44,7 @@ from .generators import (
     json_key,
     ws_rows,
 )
+from .graph import ItemFailure
 from .metrics import (
     average_clustering,
     clustering_of_rows,
@@ -56,7 +57,7 @@ DEFAULT_BUDGET = 60
 DEFAULT_REPLICATES = 5
 
 
-class UnfittableError(ValueError):
+class UnfittableError(ItemFailure, ValueError):
     """The target graph cannot supply valid parameters for the model."""
 
 

@@ -24,20 +24,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, InputError, ItemFailure
 from .jdm import JointDegreeMatrix
 from .seeds import Draws
 
 
-class ParameterError(ValueError):
+class ParameterError(InputError):
     """Model parameters violate the model's preconditions."""
 
 
-class ConstructionError(RuntimeError):
-    """2K construction could not proceed (a bug: validated input always can)."""
-
-
-class GenerationError(RuntimeError):
+class GenerationError(ItemFailure, RuntimeError):
     """A generator exhausted its retry budget."""
 
 
@@ -500,7 +496,7 @@ def generate_2k(jdm, seed):
         movable = adj[v] - theirs
         movable.discard(donor)
         if not movable:  # the switch lemma says this cannot happen
-            raise ConstructionError(f"no switch partner for node {v}")
+            raise RuntimeError(f"no switch partner for node {v}")
         movable = sorted(movable)
         t = movable[draws.integers(len(movable))]
         adj[v].remove(t)
@@ -563,8 +559,5 @@ _GENERATORS = {
 
 
 def generate(params, seed):
-    """Dispatch to the generator matching the params type."""
-    generator = _GENERATORS.get(type(params))
-    if generator is None:
-        raise ParameterError(f"unknown params type {type(params).__name__}")
-    return generator(params, seed)
+    """Dispatch to the generator matching the params type (KeyError for any other)."""
+    return _GENERATORS[type(params)](params, seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import csv_text
+from .dataset import DatasetError, csv_text
 from .metrics import METRIC_FIELDS
 
 
@@ -92,7 +92,7 @@ class CorrelationMatrix:
     """7x7 Pearson correlations between metrics, with degenerate columns flagged."""
 
     matrix: tuple
-    degenerate: tuple  # metric names with zero variance (entries forced to 0)
+    degenerate: tuple  # names of flat metric columns (entries forced to 0)
 
     def to_csv_text(self):
         rows = [[name] + [repr(float(v)) for v in row]
@@ -106,22 +106,18 @@ def correlation_matrix(table, domain=None):
     if len(filtered) < 3:
         raise ValueError(f"need at least 3 rows for correlations, have {len(filtered)}")
     data = filtered.metric_matrix()
+    flat = _flat_columns(data)
     centered = data - data.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
-    degenerate = tuple(METRIC_FIELDS[i] for i in range(len(METRIC_FIELDS)) if norms[i] == 0.0)
-    k = len(METRIC_FIELDS)
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                out[i, j] = 1.0
-            elif norms[i] == 0.0 or norms[j] == 0.0:
-                out[i, j] = 0.0
-            else:
+    varied = np.flatnonzero(~flat)
+    out = np.eye(len(METRIC_FIELDS))
+    for i in varied:
+        for j in varied:
+            if i != j:
                 out[i, j] = float(centered[:, i] @ centered[:, j] / (norms[i] * norms[j]))
     return CorrelationMatrix(
         matrix=tuple(tuple(row) for row in out),
-        degenerate=degenerate,
+        degenerate=tuple(name for name, is_flat in zip(METRIC_FIELDS, flat) if is_flat),
     )
 
 
@@ -139,14 +135,19 @@ class PcaProjection:
                          for name, domain, _sub, pc1, pc2 in self.rows))
 
 
+def _flat_columns(data):
+    """Mask of the columns whose values are all equal (their std can still be ~1e-16)."""
+    return data.max(axis=0) == data.min(axis=0)
+
+
 def standardized_metrics(table):
     """Metric matrix with zero-mean, unit-variance columns (flat columns -> 0)."""
     data = table.metric_matrix()
     mean = data.mean(axis=0)
     std = data.std(axis=0)
     out = np.zeros_like(data)
-    nonzero = std > 0.0
-    out[:, nonzero] = (data[:, nonzero] - mean[nonzero]) / std[nonzero]
+    varied = ~_flat_columns(data)
+    out[:, varied] = (data[:, varied] - mean[varied]) / std[varied]
     return out
 
 
@@ -154,13 +155,14 @@ def pca_project(table):
     """Project standardized metric rows onto the two leading eigenvectors.
 
     Signs follow the convention that each component's largest-magnitude
-    loading is positive. Raises on fewer than 3 rows or rank-0 data.
+    loading is positive. Raises ValueError on fewer than 3 rows and
+    DatasetError on rank-0 data (every metric column flat).
     """
     if len(table) < 3:
         raise ValueError(f"need at least 3 rows for PCA, have {len(table)}")
     data = standardized_metrics(table)
     if not np.any(data):
-        raise ValueError("rank-0 data: all metric columns are constant")
+        raise DatasetError("rank-0 data: all metric columns are constant")
     cov = (data.T @ data) / data.shape[0]
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]

@@ -19,7 +19,17 @@ import numpy as np
 COMMENT_PREFIXES = ("#", "%")
 
 
-class EdgeListError(ValueError):
+# Every netfit exception derives from exactly one of these two bases;
+# anything else that escapes a command is a bug and ends in a traceback.
+class InputError(ValueError):
+    """A fault in the user's file or flag: one line naming it, exit 2."""
+
+
+class ItemFailure(Exception):
+    """One graph or model could not be done: reported, the rest go on, exit 1."""
+
+
+class EdgeListError(InputError):
     """Raised for malformed or empty edge-list input."""
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import row_arrays
+from .graph import ItemFailure, row_arrays
 from .jdm import JointDegreeMatrix
 
 #: Metric fields entering distance / correlation / PCA computations
@@ -46,25 +46,27 @@ METRIC_FIELDS = (
 CSV_HEADER = ("name", "size") + METRIC_FIELDS + ("domain", "category", "subcategory")
 
 
-class MetricDomainError(ValueError):
+class MetricDomainError(ItemFailure, ValueError):
     """Raised when a metric's precondition (n or m too small) fails."""
 
 
-class PowerIterationError(RuntimeError):
+class PowerIterationError(ItemFailure, RuntimeError):
     """The eigenvector solver did not converge within its step cap.
 
     The solver is Lanczos; the name and the message ("power iteration
     did not converge after <steps> iterations") are kept from the power
     iteration it replaced, and ``iterations`` counts Lanczos steps.
+    ``args`` holds the two numbers, so the error pickles.
     """
 
     def __init__(self, residual, iterations):
-        super().__init__(
-            f"power iteration did not converge after {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
+        super().__init__(residual, iterations)
         self.residual = residual
         self.iterations = iterations
+
+    def __str__(self):
+        return (f"power iteration did not converge after {self.iterations} iterations "
+                f"(residual {self.residual:.3e})")
 
 
 @dataclass(frozen=True)

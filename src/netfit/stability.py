@@ -14,13 +14,14 @@ import numpy as np
 
 from . import seeds
 from .dataset import csv_text
-from .generators import ConstructionError, GenerationError, generate
-from .metrics import METRIC_FIELDS, MetricDomainError, PowerIterationError, feature_vector
+from .generators import generate
+from .graph import ItemFailure
+from .metrics import METRIC_FIELDS, feature_vector
 
 SUMMARY_FIELDS = ("size",) + METRIC_FIELDS
 
 
-class StabilityError(RuntimeError):
+class StabilityError(ItemFailure, RuntimeError):
     """Raised when more than half of a model's replicates fail."""
 
 
@@ -82,8 +83,8 @@ def stability_run(g, fits, replicates=30, seed=0):
 
     Replicate seeds are the model's derived master seed XOR the replicate
     index, so the summary is independent of evaluation order. Failed
-    replicates (generation or measurement errors) are excluded and
-    counted; a model failing more than half its replicates is an error.
+    replicates (an ItemFailure in generation or measurement) are excluded
+    and counted; a model failing more than half its replicates is an error.
     """
     if replicates < 2:
         raise ValueError("stability needs at least 2 replicates")
@@ -98,7 +99,7 @@ def stability_run(g, fits, replicates=30, seed=0):
             try:
                 h = generate(fit.params, seeds.xor_index(master, index))
                 rows.append(feature_vector(h))
-            except (GenerationError, ConstructionError, MetricDomainError, PowerIterationError):
+            except ItemFailure:
                 failed += 1
         if failed * 2 > replicates:
             raise StabilityError(

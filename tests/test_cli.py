@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import netfit.cli
 from netfit import metrics
 from netfit.cli import main
 from netfit.data import corpus_manifest
@@ -171,8 +173,32 @@ class TestFitGenerate:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_generator_failure_exits_2_with_one_line(self, tmp_path, capsys):
+        params = tmp_path / "dd.json"
+        params.write_text('{"model": "DD", "params": {"n": 50, "p": 1e-300}}')
+        out = tmp_path / "g.txt"
+        assert main(["generate", str(params), "--seed", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: params {params}: "
+            "duplication-divergence exceeded 500000 failed attempts (p=1e-300)\n")
+        assert not out.exists()
+
 
 class TestPipeline:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", ["feature_vector", "generate"])  # real row, counterpart
+    def test_plain_value_error_propagates(self, tmp_path, tiny_manifest, monkeypatch, name,
+                                          jobs):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched module only when forked")
+
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(netfit.cli, name, broken)
+        with pytest.raises(ValueError, match="operands could not be broadcast together"):
+            run_pipeline(tmp_path, tiny_manifest, "run", jobs=jobs)
+
     def test_row_counts_and_schema(self, tmp_path, tiny_manifest):
         code, out = run_pipeline(tmp_path, tiny_manifest, "run")
         assert code == 0

@@ -5,7 +5,9 @@ import pytest
 
 from netfit.fitting import (
     MODELS,
+    TOLERANCE,
     UnfittableError,
+    _search,
     fit_2k,
     fit_cba,
     fit_community,
@@ -228,6 +230,17 @@ class TestSearch:
         assert report.params.p == bound
         assert report.notes == notes
         assert (report.objective_value > 0) == bool(notes)
+
+    @pytest.mark.parametrize("rises, root", [(True, 0.3), (False, 0.7)],
+                             ids=["rising-gap", "falling-gap"])
+    def test_brackets_the_root_of_an_exact_gap(self, rises, root):
+        metric = (lambda q, seed: q) if rises else (lambda q, seed: 1.0 - q)
+        q, gap, evaluations, notes = _search(metric, 0.3, rises, 0.0, 1.0, budget=60,
+                                             replicates=1, seed=0)
+        assert q == pytest.approx(root, abs=TOLERANCE)
+        assert gap == pytest.approx(0.0, abs=TOLERANCE)
+        assert evaluations < 60
+        assert notes == ()
 
     def test_sparse_dd_target_never_evaluates_p_1(self, draws):
         fit = fit_dd(generate_dd(DDParams(150, 0.45), 8), budget=60, replicates=4, seed=3)

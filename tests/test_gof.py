@@ -184,6 +184,16 @@ class TestCorrelationMatrix:
         assert corr.matrix[0][1] == 0.0
         assert corr.matrix[0][0] == 1.0
 
+    def test_flat_column_with_rounded_std_flagged(self):
+        # np.std of three copies of this avg_deg is 4.4e-16, not 0
+        vectors = [[v, 0.1, 0.2, 3.590909090909091, 0.4, 1.5 * v, 0.3] for v in (0.1, 0.4, 0.8)]
+        table = table_from_vectors(vectors)
+        corr = correlation_matrix(table)
+        assert corr.degenerate == ("assort", "avg_clust", "avg_deg", "max_eigenv_c",
+                                   "skew_deg_dist")
+        assert corr.matrix[3][0] == 0.0
+        assert not standardized_metrics(table)[:, 3].any()
+
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             correlation_matrix(table_from_vectors([[0.1] * 7, [0.2] * 7]))
@@ -256,6 +266,15 @@ class TestPca:
     def test_rank0_errors(self):
         with pytest.raises(ValueError):
             pca_project(table_from_vectors([[0.5] * 7] * 4))
+
+    def test_rank0_dataset_exits_2_naming_file(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_text(table_from_vectors([[0.5] * 7] * 4, domain="food").to_csv_text())
+        out = tmp_path / "gof"
+        assert main(["gof", str(dataset), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {dataset}: rank-0 data: all metric columns are constant\n")
+        assert not out.exists()
 
     def test_csv_quotes_names(self):
         rng = np.random.default_rng(3)
