@@ -21,6 +21,17 @@ A simulation measures the per-node rows that the model's row builder
 no ``Graph``: the value is bit for bit what the metric gives on the
 generated graph. Every graph the library returns is still checked.
 
+A replicate's rows depend on p only through its coins, each of which
+compares a raw word with the limit ``seeds.coin_limit(p)``. A row
+builder also returns the interval ``(below, above)`` of limits over
+which every coin it compared falls the same way, so at a candidate
+whose limit L has ``below < L <= above`` that replicate would draw the
+same words and build the same rows. A fit keeps each build's interval
+and measured value per replicate seed and replays the value there
+instead of building again. The candidates, the gaps and every report
+field but ``builds`` (the row builds actually run) are what building
+every replicate would give.
+
 Community detection for the community-structure model is the built-in
 multi-level modularity optimizer (:func:`louvain`).
 """
@@ -44,7 +55,7 @@ from .generators import (
     json_key,
     ws_rows,
 )
-from .graph import ItemFailure
+from .graph import ItemFailure, ParameterError
 from .metrics import (
     average_clustering,
     clustering_of_rows,
@@ -72,6 +83,7 @@ class FitReport:
     replicates_per_eval: int
     seed: int = 0
     notes: tuple = ()
+    builds: int = 0  # row builds run; the others of evaluations * replicates were replayed
 
     def to_json_obj(self):
         return {
@@ -183,15 +195,26 @@ def ws_base_params(g):
     return n, K, tuple(notes)
 
 
-def _fit_searched(model, params_at, rows, measure, target, rises, lo, hi, budget,
+def _fit_searched(model, params_at, build, measure, target, rises, lo, hi, budget,
                   replicates, seed, notes=(), log_space=False):
     """FitReport of the p in [lo, hi] whose generated ``measure`` matches ``target``.
 
-    ``params_at(q)`` is the model's params at candidate q and ``rows``
-    its row builder; the metric rises with p when ``rises`` is true.
+    ``params_at(q)`` is the model's params at candidate q and ``build``
+    its row builder, which returns (rows, interval); the metric rises
+    with p when ``rises`` is true.
     """
+    built = {}  # replicate seed -> [(below, above, measured value)], one per build
+
     def simulate(q, s):
-        return measure(rows(params_at(q), s))
+        limit = seeds.coin_limit(q)
+        runs = built.setdefault(s, [])
+        for below, above, value in runs:
+            if below < limit <= above:  # every coin falls as in that build
+                return value
+        rows, (below, above) = build(params_at(q), s)
+        value = measure(rows)
+        runs.append((below, above, value))
+        return value
 
     q, objective, evaluations, bound_notes = _search(
         simulate, target, rises, lo, hi, budget, replicates, seed, log_space=log_space)
@@ -203,6 +226,7 @@ def _fit_searched(model, params_at, rows, measure, target, rises, lo, hi, budget
         replicates_per_eval=replicates,
         seed=seed,
         notes=notes + bound_notes,
+        builds=sum(map(len, built.values())),
     )
 
 
@@ -461,10 +485,10 @@ _MODEL_BY_NAME = {spec.name: spec for spec in MODELS}
 
 
 def model_spec(name):
-    """The :data:`MODELS` entry called ``name``; ValueError if there is none."""
+    """The :data:`MODELS` entry called ``name``; ParameterError if there is none."""
     spec = _MODEL_BY_NAME.get(name) if isinstance(name, str) else None
     if spec is None:
-        raise ValueError(f"unknown model {name!r}")
+        raise ParameterError(f"unknown model {name!r}")
     return spec
 
 
@@ -476,12 +500,12 @@ def fit_model(g, model, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, se
 def params_from_json_obj(obj):
     """(model, validated params, seed or None) from a fit report's JSON object.
 
-    Any malformed part raises a ValueError that says what is wrong.
+    Any malformed part raises a ParameterError that says what is wrong.
     """
     spec = model_spec(json_key(obj, "model"))
     params = spec.params_type.from_json_obj(json_key(obj, "params"))
     params.validate()
     seed = obj.get("seed")
     if seed is not None and (type(seed) is not int or seed < 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     return spec.name, params, seed

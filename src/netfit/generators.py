@@ -10,7 +10,13 @@ deterministic for a given (params, seed) pair. WS, CBA and DD build
 their per-node rows in a row builder (:func:`ws_rows`, :func:`cba_rows`,
 :func:`dd_rows`). The public generator checks the sorted rows into a
 ``Graph``; the fit simulations measure the rows and build none, so
-every graph the library returns is still checked. Randomness comes from
+every graph the library returns is still checked. A row builder also
+returns the interval ``(below, above)`` of coin limits
+(:func:`~netfit.seeds.coin_limit`) over which its coins fall the same
+way: at any p whose limit L has ``below < L <= above`` it builds the
+same rows from the same seed. WS and CBA track the compared words
+nearest their limit on each side; DD reports the point interval of its
+own limit. Randomness comes from
 ``numpy.random.default_rng(seed)`` only: WS, CBA, DD and 2K take its
 scalar draws through :class:`~netfit.seeds.Draws`, which owns the bit
 generator and gives numpy's values without numpy's per-call cost; Com
@@ -24,13 +30,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graph import Graph, InputError, ItemFailure
+from .graph import Graph, ItemFailure, ParameterError
 from .jdm import JointDegreeMatrix
-from .seeds import Draws
-
-
-class ParameterError(InputError):
-    """Model parameters violate the model's preconditions."""
+from .seeds import Draws, coin_limit
 
 
 class GenerationError(ItemFailure, RuntimeError):
@@ -54,7 +56,10 @@ def _json_number(raw, key, kind):
     if type(value) not in ((int,) if kind is int else (int, float)):
         expected = "an integer" if kind is int else "a number"
         raise ParameterError(f"{key} must be {expected}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ParameterError(f"{key} is out of the float range") from None
 
 
 class _FieldwiseJson:
@@ -162,7 +167,7 @@ class TwoKParams:
 
 def generate_ws(params, seed):
     """Small-world graph: circulant ring lattice with random rewiring (see :func:`ws_rows`)."""
-    return Graph([sorted(nbrs) for nbrs in ws_rows(params, seed)])
+    return Graph([sorted(nbrs) for nbrs in ws_rows(params, seed)[0]])
 
 
 def ws_rows(params, seed):
@@ -174,11 +179,15 @@ def ws_rows(params, seed):
     second endpoint with a uniform choice among nodes that create neither
     a self-loop nor a duplicate edge (edge left in place if none exists).
     Edge count is exactly n*K/2 for every p.
+
+    Returns (rows, interval): see the module docstring.
     """
     params.validate()
-    n, K, p = params.n, params.K, params.p
+    n, K = params.n, params.K
     k = K // 2
     draws = Draws(seed)
+    word, limit = draws.word, coin_limit(params.p)
+    below, above = -1, 1 << 64  # the compared words nearest the limit, under and over it
     adj = [set() for _ in range(n)]
     for j in range(1, k + 1):
         for i in range(n):
@@ -186,8 +195,13 @@ def ws_rows(params, seed):
             adj[(i + j) % n].add(i)
     for j in range(1, k + 1):
         for i in range(n):
-            if draws.random() >= p:
+            coin = word()
+            if coin >= limit:
+                if coin < above:
+                    above = coin
                 continue
+            if coin > below:
+                below = coin
             mine = adj[i]
             if len(mine) + 1 == n:  # every other node is already a neighbor
                 continue
@@ -200,7 +214,7 @@ def ws_rows(params, seed):
             adj[old].discard(i)
             mine.add(cand)
             adj[cand].add(i)
-    return adj
+    return adj, (below, above)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +248,7 @@ def _weighted_pick(draws, repeated, adj, v):
 
 def generate_cba(params, seed):
     """Preferential attachment with triad formation (see :func:`cba_rows`)."""
-    return Graph([sorted(nbrs) for nbrs in cba_rows(params, seed)])
+    return Graph([sorted(nbrs) for nbrs in cba_rows(params, seed)[0]])
 
 
 def cba_rows(params, seed):
@@ -245,10 +259,14 @@ def cba_rows(params, seed):
     triangle with probability p (uniform choice among eligible neighbors
     of this step's attachment targets), otherwise falls back to
     preferential attachment.
+
+    Returns (rows, interval): see the module docstring.
     """
     params.validate()
-    n, m, p = params.n, params.m, params.p
+    n, m = params.n, params.m
     draws = Draws(seed)
+    word, limit = draws.word, coin_limit(params.p)
+    below, above = -1, 1 << 64  # the compared words nearest the limit, under and over it
     adj = [set() for _ in range(n)]
     repeated = []  # node id repeated once per incident edge endpoint
     for u in range(m):
@@ -262,9 +280,15 @@ def cba_rows(params, seed):
         triad_set = set()
         for _ in range(m):
             target = None
-            if triad_set and draws.random() < p:
-                ordered = sorted(triad_set)
-                target = ordered[draws.integers(len(ordered))]
+            if triad_set:
+                coin = word()
+                if coin < limit:
+                    if coin > below:
+                        below = coin
+                    ordered = sorted(triad_set)
+                    target = ordered[draws.integers(len(ordered))]
+                elif coin < above:
+                    above = coin
             if target is None:
                 target = _weighted_pick(draws, repeated, adj, v)
                 triad_set.update(adj[target] - mine)
@@ -272,7 +296,7 @@ def cba_rows(params, seed):
             mine.add(target)
             adj[target].add(v)
             repeated.extend((v, target))
-    return adj
+    return adj, (below, above)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +307,7 @@ DD_FAILURE_BUDGET_PER_NODE = 10_000
 
 def generate_dd(params, seed):
     """Duplication-divergence growth from a single edge (see :func:`dd_rows`)."""
-    return Graph(dd_rows(params, seed))
+    return Graph(dd_rows(params, seed)[0])
 
 
 def dd_rows(params, seed):
@@ -297,6 +321,9 @@ def dd_rows(params, seed):
     Rows stay sorted as they grow: a replica's id exceeds every earlier
     id, so appending it to each kept neighbor's row keeps that row in
     order, and the replica's own row is a subsequence of a sorted row.
+
+    Returns (rows, interval), the interval being the point one of p's
+    own coin limit: tracking DD's coins costs more than replaying saves.
     """
     params.validate()
     n, p = params.n, params.p
@@ -318,7 +345,8 @@ def dd_rows(params, seed):
         for u in kept:
             adj[u].append(replica)
         adj.append(kept)
-    return adj
+    limit = coin_limit(p)
+    return adj, (limit - 1, limit)
 
 
 # ---------------------------------------------------------------------------

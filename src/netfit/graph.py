@@ -33,6 +33,10 @@ class EdgeListError(InputError):
     """Raised for malformed or empty edge-list input."""
 
 
+class ParameterError(InputError):
+    """Model parameters, or the fit JSON that holds them, violate the model's preconditions."""
+
+
 class Graph:
     """Immutable simple undirected graph over nodes ``0..n-1``.
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .graph import ParameterError
+
 
 def canonical_key(k, l):
     return (k, l) if k <= l else (l, k)
@@ -53,5 +55,5 @@ class JointDegreeMatrix:
             not isinstance(e, list) or len(e) != 3 or any(type(x) is not int for x in e)
             for e in entries
         ):
-            raise ValueError("jdm entries must be a list of [k, l, count] integer triples")
+            raise ParameterError("jdm entries must be a list of [k, l, count] integer triples")
         return cls(entries={(k, l): c for k, l, c in entries})

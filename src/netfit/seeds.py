@@ -3,8 +3,10 @@
 Two seed patterns: ``xor_index`` for replicate batches (master XOR
 replicate index) and ``derive`` for mixing string context (graph names,
 model names) into a master seed so results never depend on job
-scheduling. :class:`Draws` gives numpy's scalar ``random()`` and
-``integers(n)`` results without numpy's per-call cost.
+scheduling. :class:`Draws` gives the raw words of numpy's scalar
+``random()`` and its ``integers(n)`` results without numpy's per-call
+cost, and :func:`coin_limit` is the raw-word bound that a coin of
+probability p compares against.
 """
 
 from __future__ import annotations
@@ -33,6 +35,17 @@ def derive(master, *parts):
     return int.from_bytes(h.digest()[:8], "big") & _MASK
 
 
+def coin_limit(p):
+    """The raw-word bound of a coin that falls with probability p.
+
+    numpy's ``random()`` is the top 53 bits of a raw word times 2**-53,
+    so ``random() < p`` holds exactly when those bits are below
+    p * 2**53, that is when ``word < coin_limit(p)``. The limit is a
+    multiple of 2**11 in [0, 2**64].
+    """
+    return math.ceil(p * 2.0**53) << 11
+
+
 _DRAWS_BLOCK = 256  # raw words fetched from the bit generator at a time
 _LOW32 = (1 << 32) - 1
 
@@ -40,10 +53,11 @@ _LOW32 = (1 << 32) - 1
 class Draws:
     """Pure-Python stream of numpy's scalar draws for ``default_rng(seed)``.
 
-    ``random()`` and ``integers(n)`` return, call for call, the same
-    values as ``Generator.random()`` and ``Generator.integers(n)`` on
-    ``numpy.random.default_rng(seed)``, for any interleaving of the two;
-    ``thin`` makes the ``random()`` calls of a row of coins in one pass.
+    ``word()`` takes the raw word of one ``Generator.random()`` call, and
+    ``integers(n)`` returns, call for call, the same value as
+    ``Generator.integers(n)`` on ``numpy.random.default_rng(seed)``, for
+    any interleaving of the two; ``thin`` makes the coins of a row in one
+    pass. A coin with probability p is ``word() < coin_limit(p)``.
     Raw 64-bit words come in blocks from the PCG64 bit generator, which a
     Draws owns: it reads ahead of what it has returned, so no other code
     may draw from that bit generator.
@@ -51,7 +65,7 @@ class Draws:
     ``integers`` follows numpy's 32-bit path: one 32-bit word per try,
     the low half of a raw word first and its high half kept for the next
     try (PCG64's ``next_uint32``), then Lemire's multiply-and-reject.
-    ``random()`` takes a whole raw word and leaves a kept half in place.
+    ``word()`` takes a whole raw word and leaves a kept half in place.
     """
 
     __slots__ = ("_bitgen", "_words", "_next", "_half")
@@ -69,24 +83,20 @@ class Draws:
         self._words = iter(words)
         self._next = self._words.__next__
 
-    def random(self):
-        """Uniform float in [0, 1): the top 53 bits of one raw word."""
+    def word(self):
+        """The raw 64-bit word of one ``random()``: that value is ``(word >> 11) * 2**-53``."""
         try:
-            word = self._next()
+            return self._next()
         except StopIteration:
             self._refill()
-            word = self._next()
-        return (word >> 11) * 2.0**-53
+            return self._next()
 
     def thin(self, items, p):
-        """The items kept by one coin each, in order: ``[x for x in items if self.random() < p]``.
-
-        ``random() < p`` holds exactly when the top 53 bits of the word
-        are below p * 2**53, so each coin is one integer comparison.
-        """
+        """The items kept by one coin each, in order: ``[x for x in items if self.word() < limit]``
+        with ``limit = coin_limit(p)``, so each coin is one integer comparison."""
         if length_hint(self._words) < len(items):
             self._refill(len(items))
-        limit = math.ceil(p * 2.0**53) << 11
+        limit = coin_limit(p)
         return [x for x, word in zip(items, self._words) if word < limit]
 
     def _uint32(self):

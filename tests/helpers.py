@@ -509,6 +509,25 @@ def reference_simulate(model, params):
     return simulate
 
 
+def reference_fit_searched(model, params_at, build, measure, target, rises, lo, hi, budget,
+                           replicates, seed, notes=(), log_space=False):
+    """``fitting._fit_searched`` without replays: every simulation runs the row builder.
+
+    Takes the same arguments; the report's ``builds`` is therefore
+    evaluations * replicates.
+    """
+    from netfit.fitting import FitReport, _search
+
+    def simulate(q, s):
+        rows, _ = build(params_at(q), s)
+        return measure(rows)
+
+    q, objective, evaluations, bound_notes = _search(
+        simulate, target, rises, lo, hi, budget, replicates, seed, log_space=log_space)
+    return FitReport(model, params_at(q), objective, evaluations, replicates, seed,
+                     notes + bound_notes, builds=evaluations * replicates)
+
+
 def reference_triangular_unrank(cell, s):
     """One cell index in [0, C(s,2)) -> (u, v), u < v, by walking the rows."""
     u = 0

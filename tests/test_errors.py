@@ -7,6 +7,7 @@ goes on and exits 1. Anything else is a bug and propagates.
 
 import importlib
 import inspect
+import json
 import pickle
 import pkgutil
 
@@ -17,7 +18,8 @@ import netfit.cli
 import netfit.stability
 from netfit.cli import main
 from netfit.data import corpus_manifest
-from netfit.graph import InputError, ItemFailure
+from netfit.fitting import params_from_json_obj
+from netfit.graph import InputError, ItemFailure, ParameterError
 from netfit.metrics import PowerIterationError
 
 # constructor arguments of the classes that take more than a message
@@ -99,3 +101,26 @@ def test_power_iteration_error_keeps_its_message():
     exc = pickle.loads(pickle.dumps(PowerIterationError(1e-3, 5)))
     assert str(exc) == "power iteration did not converge after 5 iterations (residual 1.000e-03)"
     assert (exc.residual, exc.iterations) == (1e-3, 5)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"model": "ER", "params": {}}, "unknown model 'ER'"),
+        ({"model": "DD", "params": {"n": 5, "p": 0.5}, "seed": -1},
+         "seed must be a non-negative integer, got -1"),
+        ({"model": "2K", "params": {"jdm": {"entries": [[1, 1]]}}},
+         "jdm entries must be a list of [k, l, count] integer triples"),
+        ({"model": "CBA", "params": {"n": 10, "m": 2, "p": 10**400}},
+         "p is out of the float range"),
+    ],
+    ids=["unknown-model", "negative-seed", "jdm-entries", "huge-integer-p"],
+)
+def test_fit_json_faults_are_parameter_errors(tmp_path, capsys, obj, message):
+    with pytest.raises(ParameterError) as caught:
+        params_from_json_obj(obj)
+    assert str(caught.value) == message
+    params = tmp_path / "fit.json"
+    params.write_text(json.dumps(obj))
+    assert main(["generate", str(params), "--out", str(tmp_path / "g.txt")]) == 2
+    assert capsys.readouterr().err == f"error: params {params}: {message}\n"

@@ -1,12 +1,20 @@
+import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import netfit.fitting as fitting_module
 from netfit.fitting import (
+    DEFAULT_BUDGET,
+    DEFAULT_REPLICATES,
     MODELS,
     TOLERANCE,
     UnfittableError,
+    _fit_searched,
     _search,
     fit_2k,
     fit_cba,
@@ -34,12 +42,19 @@ from netfit.generators import (
     generate_community,
     generate_dd,
     generate_ws,
+    ws_rows,
 )
 from netfit.graph import Graph, load_edge_list
 from netfit.metrics import average_clustering, clustering_of_rows, density
 from netfit.fitting import Partition
+from netfit.seeds import coin_limit, derive
 
-from helpers import best_partition_bruteforce, graph_from_edges, reference_simulate
+from helpers import (
+    best_partition_bruteforce,
+    graph_from_edges,
+    reference_fit_searched,
+    reference_simulate,
+)
 
 TRIANGLE = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
 TWO_TRIANGLES_BRIDGE = graph_from_edges(
@@ -114,19 +129,10 @@ class TestFitWS:
         assert fit.model == "WS"
         assert fit.evaluations <= 30
 
-    def test_search_never_evaluates_below_bound(self, monkeypatch):
-        import netfit.fitting as fitting_module
-
+    def test_search_never_evaluates_below_bound(self, draws):
         g = generate_ws(WSParams(20, 4, 0.2), 3)
-        evaluated = []
-        real = fitting_module.ws_rows
-
-        def spy(params, seed):
-            evaluated.append(params.p)
-            return real(params, seed)
-
-        monkeypatch.setattr(fitting_module, "ws_rows", spy)
         fit_ws(g, budget=25, replicates=1, seed=1)
+        evaluated = [p for p, _ in draws]
         assert evaluated
         assert min(evaluated) >= 0.001
 
@@ -171,9 +177,24 @@ class TestFitCBA:
 
 @pytest.fixture
 def draws(monkeypatch):
-    """Every (p, seed) that the WS, CBA and DD fits generate with."""
-    import netfit.fitting as fitting_module
+    """Every (p, seed) that the WS, CBA and DD searches simulate, replayed or built."""
+    seen = []
+    real = fitting_module._search
 
+    def spy(simulate, *args, **kwargs):
+        def spied(q, s):
+            seen.append((q, s))
+            return simulate(q, s)
+
+        return real(spied, *args, **kwargs)
+
+    monkeypatch.setattr(fitting_module, "_search", spy)
+    return seen
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every (p, seed) that the WS, CBA and DD fits run their row builders with."""
     seen = []
     for name in ("ws_rows", "cba_rows", "dd_rows"):
         def spy(params, seed, real=getattr(fitting_module, name)):
@@ -202,12 +223,13 @@ class TestSearch:
 
     @pytest.mark.parametrize("budget", [1, 2, 5])
     @pytest.mark.parametrize("model", ["WS", "WS_STD", "CBA", "DD"])
-    def test_budget_caps_distinct_candidates(self, draws, model, budget):
+    def test_budget_caps_distinct_candidates(self, draws, builds, model, budget):
         g = generate_community(CommunityParams((15, 15), 0.5, 0.1), 4)
         fit = fit_model(g, model, budget=budget, replicates=2, seed=1)
         evaluated = {p for p, _ in draws}
         assert fit.evaluations == len(evaluated) <= budget
         assert fit.params.p in evaluated
+        assert fit.builds == len(builds) <= fit.evaluations * fit.replicates_per_eval
 
     @pytest.mark.parametrize(
         "fit, graph, bound, notes",
@@ -410,8 +432,6 @@ class _Captured(Exception):
 
 def _fit_simulate(monkeypatch, g, model):
     """(simulate, params): the closure ``fit_model(g, model)`` searches with, and its params."""
-    import netfit.fitting as fitting_module
-
     params = fit_model(g, model, budget=1, replicates=1).params
 
     def stop(simulate, *args, **kwargs):
@@ -464,7 +484,7 @@ class TestSimulationFromRows:
         _assert_bitwise_equal(simulate, reference_simulate("CBA", params), (0.0, 1.0), range(4))
         params = CBAParams(30, 29, 0.5)
         _assert_bitwise_equal(
-            lambda q, s: clustering_of_rows(cba_rows(CBAParams(30, 29, q), s)),
+            lambda q, s: clustering_of_rows(cba_rows(CBAParams(30, 29, q), s)[0]),
             reference_simulate("CBA", params), (0.0, 0.5, 1.0), range(4))
 
     @pytest.mark.parametrize("model", SEARCHED)
@@ -481,3 +501,101 @@ class TestSimulationFromRows:
         report = fit_model(g, model)
         assert report.evaluations > 0
         assert built == []
+
+
+@st.composite
+def tracked_builds(draw):
+    """(row builder, params, seed) of a WS or CBA graph at an arbitrary p."""
+    n = draw(st.integers(3, 40))
+    p = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        build, params = ws_rows, WSParams(n, 2 * draw(st.integers(1, (n - 1) // 2)), p)
+    else:
+        build, params = cba_rows, CBAParams(n, draw(st.integers(1, n - 1)), p)
+    return build, params, draw(st.integers(0, 2**63 - 1))
+
+
+def _corpus_graphs():
+    """(name, graph) of every bundled corpus graph, in manifest order."""
+    with open(CORPUS / "manifest.csv", newline="", encoding="utf-8") as fh:
+        return [(row["name"], load_edge_list(CORPUS / row["path"]))
+                for row in csv.DictReader(fh)]
+
+
+# (row builds, evaluations * replicates) per model over the corpus at pipeline seed 61
+CORPUS_BUILDS_AT_61 = {"WS": (982, 1700), "WS_STD": (366, 400), "CBA": (447, 900),
+                       "DD": (1600, 1600)}
+
+
+class TestReplay:
+    """A fit reuses a replicate's value where every coin falls as in an earlier build."""
+
+    @given(tracked_builds())
+    @settings(max_examples=200, deadline=None)
+    def test_interval_is_where_every_coin_falls_the_same_way(self, case):
+        build, params, seed = case
+
+        def at(c):
+            """The rows and interval at the candidate whose coin limit is c << 11."""
+            return build(dataclasses.replace(params, p=c * 2.0**-53), seed)
+
+        rows, interval = build(params, seed)
+        below, above = interval
+        lo, hi = (below >> 11) + 1, above >> 11
+        assert lo <= coin_limit(params.p) >> 11 <= hi
+        assert at(lo) == (rows, interval)
+        assert at(hi) == (rows, interval)
+        if lo > 0:
+            assert at(lo - 1)[1] != interval
+        if hi < 2**53:
+            assert at(hi + 1)[1] != interval
+
+    def test_lookup_replays_exactly_the_half_open_interval(self, monkeypatch):
+        # a builder whose two coin words sit exactly on the limits of c = 3 and 5;
+        # its value is the number of coins below the limit
+        words = (3 << 11, 5 << 11)
+        built = []
+
+        def build(q, s):
+            limit = coin_limit(q)
+            built.append((limit >> 11, s))
+            under = [w for w in words if w < limit]
+            over = [w for w in words if w >= limit]
+            return len(under), (max(under, default=-1), min(over, default=1 << 64))
+
+        def stop(simulate, *args, **kwargs):
+            raise _Captured(simulate)
+
+        monkeypatch.setattr(fitting_module, "_search", stop)
+        with pytest.raises(_Captured) as caught:
+            _fit_searched("X", lambda q: q, build, float, 0.0, True, 0.0, 1.0, 60, 1, 0)
+        simulate = caught.value.args[0]
+        for c, value in ((4, 1.0), (3, 0.0), (5, 1.0), (6, 2.0), (2, 0.0), (7, 2.0)):
+            assert simulate(c * 2.0**-53, 0) == value, c
+        assert simulate(5 * 2.0**-53, 1) == 1.0  # another replicate seed builds its own
+        assert built == [(4, 0), (3, 0), (6, 0), (5, 1)]
+
+    @pytest.mark.parametrize("model", SEARCHED)
+    def test_builds_counts_the_builder_calls_and_repeats(self, builds, model):
+        g = load_edge_list(CORPUS / "chems_04.txt")
+        first = fit_model(g, model, seed=5)
+        assert first.builds == len(builds) <= first.evaluations * first.replicates_per_eval
+        assert fit_model(g, model, seed=5) == first
+        assert "builds" not in first.to_json_obj()
+
+    @pytest.mark.parametrize("seed", [7, 61])
+    @pytest.mark.parametrize("model", SEARCHED)
+    def test_fit_equals_the_uncached_search_on_the_corpus(self, monkeypatch, model, seed):
+        totals = [0, 0]
+        for name, g in _corpus_graphs():
+            fit_seed = derive(seed, name, model, "fit")  # as pipeline --seed derives it
+            report = fit_model(g, model, DEFAULT_BUDGET, DEFAULT_REPLICATES, fit_seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(fitting_module, "_fit_searched", reference_fit_searched)
+                expected = fit_model(g, model, DEFAULT_BUDGET, DEFAULT_REPLICATES, fit_seed)
+            assert report.to_json_obj() == expected.to_json_obj(), name
+            assert report.objective_value.hex() == expected.objective_value.hex(), name
+            totals[0] += report.builds
+            totals[1] += expected.builds
+        if seed == 61:
+            assert tuple(totals) == CORPUS_BUILDS_AT_61[model]

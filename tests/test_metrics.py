@@ -221,8 +221,8 @@ class TestClusteringKernel:
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_and_graph_paths_agree(self, seed):
         for rows, g in (
-            (ws_rows(WSParams(200, 8, 0.1), seed), generate_ws(WSParams(200, 8, 0.1), seed)),
-            (cba_rows(CBAParams(200, 4, 0.7), seed), generate_cba(CBAParams(200, 4, 0.7), seed)),
+            (ws_rows(WSParams(200, 8, 0.1), seed)[0], generate_ws(WSParams(200, 8, 0.1), seed)),
+            (cba_rows(CBAParams(200, 4, 0.7), seed)[0], generate_cba(CBAParams(200, 4, 0.7), seed)),
         ):
             assert clustering_of_rows(rows).hex() == average_clustering(g).hex()
 

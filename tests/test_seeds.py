@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from netfit.seeds import Draws
+from netfit.seeds import Draws, coin_limit
 
 BOUNDS = (1, 2, 3, 2**31, 2**32 - 1, 2**32)
 
@@ -20,12 +20,12 @@ class TestDraws:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**63 - 1])
     def test_mixed_sequence_matches_numpy(self, seed):
         # more than one raw-word block, with integers leaving a kept half
-        # word across random() calls and across block refills
+        # word across coin words and across block refills
         chooser = random.Random(seed)
         draws, rng = Draws(seed), np.random.default_rng(seed)
         for _ in range(3000):
             if chooser.random() < 0.4:
-                assert_same_bits(draws.random(), rng.random())
+                assert_same_bits((draws.word() >> 11) * 2.0**-53, rng.random())
             else:
                 n = chooser.choice(BOUNDS + (chooser.randrange(1, 100),
                                              chooser.randrange(1, 2**32 + 1)))
@@ -45,6 +45,15 @@ class TestDraws:
         p = np.random.default_rng(9).random()
         assert Draws(9).thin(["a"], p) == []
         assert Draws(9).thin(["a"], np.nextafter(p, 1.0)) == ["a"]
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0])
+    def test_coin_limit_is_random_below_p(self, p):
+        # the words at and next to the limit, and both ends of the word range
+        limit = coin_limit(p)
+        assert limit % 2**11 == 0 and 0 <= limit <= 2**64
+        for word in {0, limit - 1, limit, limit + 2**11 - 1, limit + 2**11, 2**64 - 1}:
+            if 0 <= word < 2**64:
+                assert (word < limit) == ((word >> 11) * 2.0**-53 < p), word
 
     def test_integers_one_draws_nothing(self):
         draws, rng = Draws(5), np.random.default_rng(5)
