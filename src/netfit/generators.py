@@ -16,7 +16,9 @@ returns the interval ``(below, above)`` of coin limits
 way: at any p whose limit L has ``below < L <= above`` it builds the
 same rows from the same seed. WS and CBA track the compared words
 nearest their limit on each side; DD reports the point interval of its
-own limit. Randomness comes from
+own limit. CBA builds a step's triad candidates only once one of its
+coins falls below the limit, so at small p a link costs little beyond
+its coin and its attachment pick. Randomness comes from
 ``numpy.random.default_rng(seed)`` only: WS, CBA, DD and 2K take its
 scalar draws through :class:`~netfit.seeds.Draws`, which owns the bit
 generator and gives numpy's values without numpy's per-call cost; Com
@@ -260,6 +262,13 @@ def cba_rows(params, seed):
     of this step's attachment targets), otherwise falls back to
     preferential attachment.
 
+    Every link after the first draws a coin: the step's first target had
+    at least m - 1 links before v, more than v's other links, so an
+    eligible neighbour always exists. The eligible set is built only at
+    the step's first coin below the limit and kept from then on, so a
+    link whose step has taken no triad yet costs its coin and its pick,
+    not a set update of O(degree).
+
     Returns (rows, interval): see the module docstring.
     """
     params.validate()
@@ -276,23 +285,33 @@ def cba_rows(params, seed):
             repeated.extend((u, w))
     for v in range(m, n):
         mine = adj[v]
-        # neighbours of this step's PA targets that v does not link to yet
-        triad_set = set()
-        for _ in range(m):
+        # neighbours of this step's PA targets that v does not link to yet; it
+        # is built at the step's first coin below the limit, when v's row holds
+        # only PA targets
+        triad_set = None
+        for link in range(m):
             target = None
-            if triad_set:
+            if link:
                 coin = word()
                 if coin < limit:
                     if coin > below:
                         below = coin
+                    if triad_set is None:
+                        triad_set = set()
+                        for t in mine:
+                            triad_set |= adj[t]
+                        triad_set -= mine
+                        triad_set.discard(v)
                     ordered = sorted(triad_set)
                     target = ordered[draws.integers(len(ordered))]
+                    triad_set.remove(target)
                 elif coin < above:
                     above = coin
             if target is None:
                 target = _weighted_pick(draws, repeated, adj, v)
-                triad_set.update(adj[target] - mine)
-            triad_set.discard(target)
+                if triad_set is not None:
+                    triad_set.update(adj[target] - mine)
+                    triad_set.discard(target)
             mine.add(target)
             adj[target].add(v)
             repeated.extend((v, target))

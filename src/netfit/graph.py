@@ -214,10 +214,25 @@ def parse_edge_list(text):
     return Graph.from_arrays(np.bincount(src, minlength=n), dst, labels=tuple(ids))
 
 
+SERIALIZE_CHUNK = 4096  # edges formatted into one string at a time
+
+
 def serialize_edge_list(g):
-    """Edge-list text for g: one "u v" line per edge, original labels."""
-    lines = [f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
+    """Edge-list text for g: one "u v" line per edge, original labels.
+
+    Lines are joined SERIALIZE_CHUNK edges at a time, so no string or
+    int per edge is held beside the text; an edgeless graph gives one
+    lone newline.
+    """
+    src, dst = g.edge_endpoints
+    once = src < dst
+    heads, tails, labels = src[once], dst[once], g.labels
+    chunks = []
+    for start in range(0, len(heads), SERIALIZE_CHUNK):
+        stop = start + SERIALIZE_CHUNK
+        chunks.append("".join(f"{labels[u]} {labels[v]}\n" for u, v in
+                              zip(heads[start:stop].tolist(), tails[start:stop].tolist())))
+    return "".join(chunks) or "\n"
 
 
 def utf8_text(path, error):

@@ -432,12 +432,14 @@ def reference_generate_cba(params, seed, paths=None):
     """Clustered BA through a set-based builder, one numpy call per draw.
 
     Rebuilds the triad candidates from every PA target's neighbours on
-    each link, where the library keeps them as it goes.
+    each link after the first, where the library builds them at a step's
+    first coin below p and keeps them from then on.
 
     ``paths``, when given, is a list that receives the branch each
     preferential-attachment pick took: "repeated" (rejection sampling
     succeeded), "fallback" (64 rejections, then the candidate scan) or
-    "uniform" (no edges yet).
+    "uniform" (no edges yet); and "no-triad" for a link after the first
+    whose candidates are all linked already, so that no coin is drawn.
     """
     n, m, p = params.n, params.m, params.p
     paths = [] if paths is None else paths
@@ -459,7 +461,9 @@ def reference_generate_cba(params, seed, paths=None):
                     triad_set.update(builder.neighbors(u))
                 triad_set.discard(v)
                 triad_set.difference_update(builder.neighbors(v))
-                if triad_set and rng.random() < p:
+                if not triad_set:
+                    paths.append("no-triad")
+                elif rng.random() < p:
                     ordered = sorted(triad_set)
                     target = ordered[int(rng.integers(len(ordered)))]
             if target is None:
@@ -468,6 +472,52 @@ def reference_generate_cba(params, seed, paths=None):
             builder.add_edge(v, target)
             repeated.extend((v, target))
     return builder.build()
+
+
+def reference_cba_rows(params, seed):
+    """The eager form of ``cba_rows``: the same (rows, interval).
+
+    Each PA pick adds its target's unlinked neighbours to the step's
+    triad set at once, and a coin is drawn whenever that set is not
+    empty.
+    """
+    from netfit.generators import _weighted_pick
+    from netfit.seeds import Draws, coin_limit
+
+    params.validate()
+    n, m = params.n, params.m
+    draws = Draws(seed)
+    word, limit = draws.word, coin_limit(params.p)
+    below, above = -1, 1 << 64
+    adj = [set() for _ in range(n)]
+    repeated = []
+    for u in range(m):
+        for w in range(u + 1, m):
+            adj[u].add(w)
+            adj[w].add(u)
+            repeated.extend((u, w))
+    for v in range(m, n):
+        mine = adj[v]
+        triad_set = set()
+        for _ in range(m):
+            target = None
+            if triad_set:
+                coin = word()
+                if coin < limit:
+                    if coin > below:
+                        below = coin
+                    ordered = sorted(triad_set)
+                    target = ordered[draws.integers(len(ordered))]
+                elif coin < above:
+                    above = coin
+            if target is None:
+                target = _weighted_pick(draws, repeated, adj, v)
+                triad_set.update(adj[target] - mine)
+            triad_set.discard(target)
+            mine.add(target)
+            adj[target].add(v)
+            repeated.extend((v, target))
+    return adj, (below, above)
 
 
 def reference_generate_dd(params, seed):

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netfit.fitting import MODELS, params_from_json_obj
 from netfit.generators import (
@@ -39,6 +41,7 @@ from helpers import (
     degree_sequence,
     graph_from_edges,
     pseudo_real_graph,
+    reference_cba_rows,
     reference_generate_cba,
     reference_generate_community,
     reference_generate_dd,
@@ -103,6 +106,26 @@ class TestWattsStrogatz:
         assert "full_row" in paths
 
 
+@st.composite
+def cba_cases(draw):
+    """(params, seed) for CBA with n <= 60 and any m < n.
+
+    p is 0, 1, uniform, or one step either side of a word that a build
+    at such a p compared with its coin limit: the limit c << 11 with
+    c = word >> 11 leaves that coin at or above it, c + 1 takes it.
+    """
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, n - 1))
+    seed = draw(st.integers(0, 2**63 - 1))
+    p = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        _, interval = reference_cba_rows(CBAParams(n, m, p), seed)
+        words = [w for w in interval if 0 <= w < 1 << 64]
+        if words:
+            p = ((draw(st.sampled_from(words)) >> 11) + draw(st.integers(0, 1))) * 2.0**-53
+    return CBAParams(n, m, p), seed
+
+
 class TestClusteringBA:
     def test_m1_gives_trees(self):
         for seed in range(100):
@@ -141,7 +164,7 @@ class TestClusteringBA:
             generate_cba(CBAParams(n, m, p), 0)
 
     CBA_GRID = [(2, 1, 0.0), (12, 1, 0.5), (40, 2, 0.0), (60, 3, 0.7), (54, 2, 1.0),
-                (31, 30, 0.0), (31, 30, 1.0), (300, 4, 0.3), (1000, 5, 0.0046)]
+                (31, 30, 0.0), (31, 30, 1.0), (300, 4, 0.3), (300, 4, 1.0), (1000, 5, 0.0046)]
 
     @pytest.mark.parametrize("n,m,p", CBA_GRID)
     def test_matches_builder_reference(self, n, m, p):
@@ -156,7 +179,26 @@ class TestClusteringBA:
                 found = []
                 reference_generate_cba(CBAParams(n, m, p), seed, found)
                 paths.update(found)
+        # never "no-triad": see test_every_link_after_the_first_draws_a_coin
         assert paths == {"repeated", "fallback", "uniform"}
+
+    @given(cba_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_and_interval_match_the_eager_reference(self, case):
+        # the interval decides which fit simulations replay, so it is pinned too
+        params, seed = case
+        assert cba_rows(params, seed) == reference_cba_rows(params, seed)
+
+    @given(cba_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_every_link_after_the_first_draws_a_coin(self, case):
+        # cba_rows draws a coin at every later link without looking for a
+        # triad candidate: the step's first target had at least m - 1 links
+        # before v, more than v's links other than it, so one always exists
+        params, seed = case
+        paths = []
+        reference_generate_cba(params, seed, paths)
+        assert "no-triad" not in paths
 
 
 class TestDuplicationDivergence:

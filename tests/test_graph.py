@@ -16,6 +16,7 @@ from netfit.generators import (
     generate,
 )
 from netfit.graph import (
+    SERIALIZE_CHUNK,
     EdgeListError,
     Graph,
     parse_edge_list,
@@ -93,6 +94,19 @@ class TestParseEdgeList:
         assert again.edge_count == g.edge_count
         # serialization emits original labels
         assert "n4" in serialize_edge_list(g)
+
+    @pytest.mark.parametrize("edges", [0, 1, SERIALIZE_CHUNK - 1, SERIALIZE_CHUNK,
+                                       SERIALIZE_CHUNK + 1, 2 * SERIALIZE_CHUNK + 1])
+    def test_chunked_text_is_the_one_shot_join(self, edges):
+        # a path on shuffled word labels, so label order differs from id order
+        names = [f"w{i}" for i in np.random.default_rng(edges).permutation(edges + 1)]
+        if edges:
+            g = parse_edge_list("".join(f"{a} {b}\n" for a, b in zip(names, names[1:])))
+        else:
+            g = Graph([[]], labels=names)
+        one_shot = "\n".join(f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges()) + "\n"
+        assert serialize_edge_list(g) == one_shot
+        assert one_shot.count("\n") == max(edges, 1)
 
 
 INVALID_ROWS = [

@@ -10,7 +10,10 @@ on the same inputs (this checkout's bundled corpus):
 - ``classify`` for the three tasks with both tree and forest;
 - ``stability`` on one corpus graph;
 - ``fit --model all``, then ``generate`` from every report and one
-  ``measure`` over the generated graphs.
+  ``measure`` over the generated graphs;
+- ``generate --seed 7`` of a CBA graph at n = 1000 from a fit JSON the
+  tool writes (m = 5, p = 0.005), then on that graph ``fit --model CBA``
+  and ``stability --replicates 10 --fit-replicates 2``.
 
 Each command's output files, stdout, stderr and exit code are kept, and
 the two output trees are compared with ``diff -r``. For each CSV file
@@ -29,6 +32,7 @@ export the ref.
 from __future__ import annotations
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +43,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "src" / "netfit" / "data" / "corpus"
 SEED = "7"
 GRAPH = CORPUS / "brain_04.txt"
+CBA_FIT = {"model": "CBA", "params": {"n": 1000, "m": 5, "p": 0.005}}
+CBA_FIT_FILE = "cba_n1000.json"  # written into each output tree by run()
 
 
 def command_set():
@@ -57,6 +63,15 @@ def command_set():
                            "--model", model, "--seed", SEED, "--out", "classify"]))
     steps.append(("stability", ["stability", GRAPH, "--seed", SEED, "--out", "stability"]))
     steps.append(("fit", ["fit", GRAPH, "--model", "all", "--seed", SEED, "--out", "fit"]))
+    steps += [
+        ("generate_cba_n1000", ["generate", CBA_FIT_FILE, "--seed", SEED,
+                                "--out", "cba_n1000.txt"]),
+        ("fit_cba_n1000", ["fit", "cba_n1000.txt", "--model", "CBA", "--seed", SEED,
+                           "--out", "fit_cba_n1000"]),
+        ("stability_cba_n1000", ["stability", "cba_n1000.txt", "--replicates", "10",
+                                 "--fit-replicates", "2", "--seed", SEED,
+                                 "--out", "stability_cba_n1000"]),
+    ]
     return steps
 
 
@@ -69,6 +84,7 @@ def run(src, out_dir):
     logs = out_dir / "logs"
     logs.mkdir(parents=True)
     (out_dir / "generate").mkdir()
+    (out_dir / CBA_FIT_FILE).write_text(json.dumps(CBA_FIT) + "\n", encoding="utf-8")
     failed = []
 
     def netfit(name, args):
