@@ -24,15 +24,9 @@ import numpy as np
 from . import seeds
 from .fitting import MODELS
 from .graph import InputError
+from .metrics import METRIC_FIELDS
 
-FEATURE_FIELDS = (
-    "assort",
-    "avg_clust",
-    "avg_deg",
-    "max_eigenv_c",
-    "avg_path_length",
-    "skew_deg_dist",
-)
+FEATURE_FIELDS = tuple(f for f in METRIC_FIELDS if f != "density")
 
 
 class ClassSupportError(InputError):
@@ -41,12 +35,11 @@ class ClassSupportError(InputError):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature rows (fixed column order) with integer class labels."""
+    """Feature rows (columns in :data:`FEATURE_FIELDS` order) with integer class labels."""
 
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple
-    feature_names: tuple = FEATURE_FIELDS
 
     def __post_init__(self):
         if len(self.features) != len(self.labels):

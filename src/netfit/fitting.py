@@ -106,16 +106,14 @@ FIRST_STEP = 1.0 / 4
 TOLERANCE = 1e-4
 
 
-def eval_seed(master, replicate):
-    """Seed of one smoothing replicate, the same at every candidate."""
-    return seeds.derive(master, replicate)
-
-
 def smoothed_value(simulate, q, replicates, master):
-    """Mean of ``replicates`` simulations at q with replayable seeds."""
+    """Mean of ``replicates`` simulations at q.
+
+    Replicate r has seed ``seeds.derive(master, r)`` at every candidate.
+    """
     acc = 0.0
     for r in range(replicates):
-        acc += simulate(q, eval_seed(master, r))
+        acc += simulate(q, seeds.derive(master, r))
     return acc / replicates
 
 
@@ -280,24 +278,6 @@ def fit_dd(g, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, seed=0):
 # Louvain community detection
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Community ids (dense, 0..c-1) per node plus achieved modularity."""
-
-    community: tuple
-    modularity: float
-
-    @property
-    def count(self):
-        return max(self.community) + 1 if self.community else 0
-
-    def sizes(self):
-        counts = [0] * self.count
-        for c in self.community:
-            counts[c] += 1
-        return tuple(counts)
-
-
 def modularity(g, community):
     """Q = sum_c [e_c/m - (d_c/2m)^2] for the given node->community map."""
     m = g.edge_count
@@ -360,8 +340,10 @@ def _local_moves(n, weights, degrees, total_weight, order):
 def louvain(g, seed=0):
     """Multi-level modularity optimization (local moves + aggregation).
 
-    Sweep order is shuffled once per level from the seed; everything else
-    is deterministic, so the partition is reproducible.
+    Returns the tuple of dense community ids (0..c-1, numbered by first
+    appearance) per node. Sweep order is shuffled once per level from
+    the seed; everything else is deterministic, so the partition is
+    reproducible.
     """
     if g.edge_count < 1:
         raise ValueError("louvain needs at least one edge")
@@ -404,22 +386,23 @@ def louvain(g, seed=0):
         weights = new_weights
         loops = new_loops
 
-    return Partition(community=tuple(membership), modularity=modularity(g, membership))
+    return tuple(membership)
 
 
-def fit_community(g, seed=0, partition=None):
-    """Fit the planted-partition model from a (detected) community split.
+def fit_community(g, seed=0, community=None):
+    """Fit the planted-partition model from a community split.
 
-    p_in is the pooled density inside communities, p_out the pooled
-    density across them; an impossible denominator (e.g. all singleton
-    communities) yields probability 0 with an explanatory note.
+    ``community`` gives each node's dense community id (0..c-1) and
+    defaults to :func:`louvain`'s split at ``seed``. p_in is the pooled
+    density inside communities, p_out the pooled density across them;
+    an impossible denominator (e.g. all singleton communities) yields
+    probability 0 with an explanatory note.
     """
     if g.edge_count < 1:
         raise UnfittableError("community fit needs at least one edge")
-    if partition is None:
-        partition = louvain(g, seed=seed)
-    community = partition.community
-    sizes = partition.sizes()
+    if community is None:
+        community = louvain(g, seed=seed)
+    sizes = tuple(np.bincount(community).tolist())
     intra = sum(_community_counts(g, community)[0])
     possible_in = sum(s * (s - 1) // 2 for s in sizes)
     n = g.node_count
@@ -450,7 +433,7 @@ def fit_2k(g):
     """Fit the 2K model: the joint degree matrix itself is the parameter."""
     return FitReport(
         model="2K",
-        params=TwoKParams(jdm=joint_degree_matrix(g)),
+        params=joint_degree_matrix(g),
         objective_value=0.0,
         evaluations=0,
         replicates_per_eval=0,

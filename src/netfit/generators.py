@@ -33,7 +33,6 @@ from itertools import accumulate
 import numpy as np
 
 from .graph import Graph, ItemFailure, ParameterError
-from .jdm import JointDegreeMatrix
 from .seeds import Draws, coin_limit
 
 
@@ -150,17 +149,43 @@ class CommunityParams:
 
 @dataclass(frozen=True)
 class TwoKParams:
-    jdm: JointDegreeMatrix
+    """Joint degree matrix (JDM): ``entries[(k, l)] -> edge count``, k <= l.
+
+    The JDM of a graph records, for each degree pair (k, l), how many
+    edges join a degree-k node to a degree-l node. It pins down the
+    degree sequence, density and degree correlations of a graph exactly,
+    which is what makes it a universal fitting target. Keys are made
+    canonical (k <= l) and the counts of keys that coincide are summed.
+    The class sizes n_k follow from the entries; :func:`validate_jdm`
+    computes them.
+    """
+
+    entries: dict
+
+    def __post_init__(self):
+        norm = {}
+        for (k, l), c in self.entries.items():
+            k, l = int(k), int(l)
+            key = (k, l) if k <= l else (l, k)
+            norm[key] = norm.get(key, 0) + int(c)
+        object.__setattr__(self, "entries", norm)
 
     def validate(self):
-        validate_jdm(self.jdm)
+        validate_jdm(self)
 
     def to_json_obj(self):
-        return {"jdm": self.jdm.to_json_obj()}
+        return {"jdm": {"entries": [[k, l, c] for (k, l), c in sorted(self.entries.items())]}}
 
     @classmethod
     def from_json_obj(cls, raw):
-        return cls(jdm=JointDegreeMatrix.from_json_obj(json_key(raw, "jdm")))
+        jdm = json_key(raw, "jdm")
+        entries = jdm.get("entries") if isinstance(jdm, dict) else None
+        if not isinstance(entries, list) or any(
+            not isinstance(e, list) or len(e) != 3 or any(type(x) is not int for x in e)
+            for e in entries
+        ):
+            raise ParameterError("jdm entries must be a list of [k, l, count] integer triples")
+        return cls({(k, l): c for k, l, c in entries})
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +476,7 @@ def _row_start(u, s):
 # 2K construction
 
 
-def validate_jdm(jdm):
+def validate_jdm(params):
     """Class sizes ``{k: n_k}`` of a realizable joint degree matrix.
 
     A JDM is realizable as a simple graph iff every implied class size
@@ -460,14 +485,18 @@ def validate_jdm(jdm):
     entries[k,l] <= n_k*n_l for k != l and entries[k,k] <= n_k(n_k-1)/2.
     Otherwise a ParameterError lists every violation.
     """
+    entries = params.entries
     violations = []
-    for (k, l), c in sorted(jdm.entries.items()):
+    totals = {}  # edge endpoints per degree; an entry (k, k) counts twice
+    for (k, l), c in sorted(entries.items()):
         if c < 0:
             violations.append(f"negative count for ({k},{l})")
         if k < 1:
             violations.append(f"degree {k} < 1 in entry ({k},{l})")
+        totals[k] = totals.get(k, 0) + c
+        totals[l] = totals.get(l, 0) + c
     counts = {}
-    for k, total in sorted(jdm.endpoint_totals().items()):
+    for k, total in sorted(totals.items()):
         if k < 1:
             continue
         if total % k != 0:
@@ -475,7 +504,7 @@ def validate_jdm(jdm):
         else:
             counts[k] = total // k
     if not violations:
-        for (k, l), c in sorted(jdm.entries.items()):
+        for (k, l), c in sorted(entries.items()):
             nk, nl = counts[k], counts[l]
             if k == l:
                 cap = nk * (nk - 1) // 2
@@ -488,7 +517,7 @@ def validate_jdm(jdm):
     return counts
 
 
-def generate_2k(jdm, seed):
+def generate_2k(params, seed):
     """Random simple graph realizing the given joint degree matrix exactly.
 
     Nodes are numbered class by class in ascending degree. Class pairs
@@ -503,7 +532,7 @@ def generate_2k(jdm, seed):
     its open node pairs instead, so no entry near its cap costs more
     than O(n_k * n_l) per class pair.
     """
-    counts = validate_jdm(jdm)
+    counts = validate_jdm(params)
     start = {}  # first node id of each degree class
     target = []
     for k in sorted(counts):
@@ -556,8 +585,7 @@ def generate_2k(jdm, seed):
         take_stub(donor)
         return t
 
-    for k, l in sorted(jdm.entries):
-        count = jdm.entries[(k, l)]
+    for (k, l), count in sorted(params.entries.items()):
         if count == 0:
             continue
         nk, nl, sk, sl = counts[k], counts[l], start[k], start[l]
@@ -601,7 +629,7 @@ _GENERATORS = {
     CBAParams: generate_cba,
     DDParams: generate_dd,
     CommunityParams: generate_community,
-    TwoKParams: lambda params, seed: generate_2k(params.jdm, seed),
+    TwoKParams: generate_2k,
 }
 
 

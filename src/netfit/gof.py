@@ -127,7 +127,6 @@ class PcaProjection:
 
     rows: tuple  # (name, domain, subcategory, pc1, pc2)
     components: tuple  # 2 x 7 loadings
-    explained_variance: tuple
 
     def to_csv_text(self):
         return csv_text(["name", "domain", "pc1", "pc2"],
@@ -181,5 +180,4 @@ def pca_project(table):
     return PcaProjection(
         rows=rows,
         components=tuple(tuple(map(float, c)) for c in comps),
-        explained_variance=tuple(float(eigvals[idx]) for idx in order[:2]),
     )

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import TwoKParams
 from .graph import ItemFailure, row_arrays
-from .jdm import JointDegreeMatrix
 
 #: Metric fields entering distance / correlation / PCA computations
 #: (size is excluded: generated counterparts share it by construction).
@@ -539,7 +539,7 @@ def feature_vector(g):
 
 
 def joint_degree_matrix(g):
-    """JDM of g: per (k, l) degree pair, the number of joining edges."""
+    """JDM of g as 2K params: per (k, l) degree pair, the number of joining edges."""
     if g.edge_count < 1:
         raise MetricDomainError("joint degree matrix requires at least 1 edge")
-    return JointDegreeMatrix(entries=dict(_edge_degree_pair_counts(g)))
+    return TwoKParams(_edge_degree_pair_counts(g))

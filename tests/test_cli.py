@@ -1,5 +1,6 @@
 import csv
 import functools
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ from netfit.graph import parse_edge_list
 from netfit.metrics import CSV_HEADER
 
 TRIANGLE = "a b\nb c\nc a\n"
+ROOT = Path(__file__).resolve().parents[1]
 CYCLE12 = "".join(f"{i} {(i + 1) % 12}\n" for i in range(12))
 
 
@@ -527,6 +529,37 @@ class TestBadOptionValues:
         assert err.splitlines()[-1].endswith(message.format(**paths))
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedRunPatchPoints:
+    """The benchmark's traced run wraps the names the CLI commands call, in place."""
+
+    def test_every_patch_point_exists_and_is_restored(self, tmp_path):
+        tracing = _load_tracing()
+        tracer = tracing.Tracer()
+        replacements = tracing.instrument(tracer)
+        before = {(owner, attr): vars(owner)[attr] for owner, attr in replacements}
+        graph = corpus_manifest().parent / "chems_04.txt"
+        fits, generated = tmp_path / "fits", tmp_path / "generated.txt"
+        with tracing.patched(replacements):
+            assert main(["fit", str(graph), "--model", "all", "--seed", "5", "--out", str(fits),
+                         "--budget", "2", "--fit-replicates", "1"]) == 0
+            assert main(["generate", str(fits / "chems_04_2K.json"), "--seed", "3",
+                         "--out", str(generated)]) == 0
+            assert main(["measure", str(generated), "--out", str(tmp_path / "m.csv")]) == 0
+        assert all(vars(owner)[attr] is value for (owner, attr), value in before.items())
+        assert tracer.counts["generators.2K_calls"] == 1
+        assert tracer.counts["metrics.calls"] == 1
+        assert tracer.counts["fitting.WS_evaluations"] >= 1
+        spans = tracer.layer_totals()
+        assert {"fitting.2K", "generators.2K", "graph.load", "metrics.density"} <= set(spans)
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -111,10 +111,16 @@ def test_power_iteration_error_keeps_its_message():
          "seed must be a non-negative integer, got -1"),
         ({"model": "2K", "params": {"jdm": {"entries": [[1, 1]]}}},
          "jdm entries must be a list of [k, l, count] integer triples"),
+        ({"model": "2K", "params": {"jdm": {"entries": [[1, 2, 1.0]]}}},
+         "jdm entries must be a list of [k, l, count] integer triples"),
+        ({"model": "2K", "params": {"jdm": [[1, 2, 1]]}},
+         "jdm entries must be a list of [k, l, count] integer triples"),
+        ({"model": "2K", "params": {"entries": [[1, 2, 1]]}}, "missing key 'jdm'"),
         ({"model": "CBA", "params": {"n": 10, "m": 2, "p": 10**400}},
          "p is out of the float range"),
     ],
-    ids=["unknown-model", "negative-seed", "jdm-entries", "huge-integer-p"],
+    ids=["unknown-model", "negative-seed", "jdm-entries", "jdm-float-count", "jdm-not-object",
+         "jdm-missing", "huge-integer-p"],
 )
 def test_fit_json_faults_are_parameter_errors(tmp_path, capsys, obj, message):
     with pytest.raises(ParameterError) as caught:

@@ -46,7 +46,6 @@ from netfit.generators import (
 )
 from netfit.graph import Graph, load_edge_list
 from netfit.metrics import average_clustering, clustering_of_rows, density
-from netfit.fitting import Partition
 from netfit.seeds import coin_limit, derive
 
 from helpers import (
@@ -80,24 +79,23 @@ class TestModularity:
 class TestLouvain:
     def test_two_triangles_with_bridge(self):
         part = louvain(TWO_TRIANGLES_BRIDGE, seed=3)
-        groups = {frozenset(i for i, c in enumerate(part.community) if c == cid)
-                  for cid in range(part.count)}
+        groups = {frozenset(i for i, c in enumerate(part) if c == cid)
+                  for cid in range(max(part) + 1)}
         assert groups == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
 
     def test_matches_bruteforce_optimum(self):
         best_q, best_blocks = best_partition_bruteforce(TWO_TRIANGLES_BRIDGE, modularity)
         part = louvain(TWO_TRIANGLES_BRIDGE, seed=1)
-        assert part.modularity == pytest.approx(best_q)
+        assert modularity(TWO_TRIANGLES_BRIDGE, part) == pytest.approx(best_q)
 
     def test_deterministic_given_seed(self):
         g = generate_community(CommunityParams((20, 20, 20), 0.3, 0.02), 7)
         assert louvain(g, seed=5) == louvain(g, seed=5)
 
-    def test_modularity_consistent_with_partition(self):
+    def test_community_ids_are_dense(self):
         g = generate_community(CommunityParams((15, 15), 0.4, 0.02), 2)
         part = louvain(g, seed=9)
-        assert part.modularity == pytest.approx(modularity(g, part.community))
-        assert set(part.community) == set(range(part.count))
+        assert set(part) == set(range(max(part) + 1))
 
 
 class TestFitWS:
@@ -322,7 +320,7 @@ class TestFitDD:
 class TestFitCommunity:
     def test_two_disjoint_triangles_exact_partition(self):
         g = graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        fit = fit_community(g, partition=Partition(community=(0, 0, 0, 1, 1, 1), modularity=0.5))
+        fit = fit_community(g, community=(0, 0, 0, 1, 1, 1))
         assert fit.params.p_in == 1.0
         assert fit.params.p_out == 0.0
 
@@ -332,10 +330,17 @@ class TestFitCommunity:
         assert fit.params.p_out == pytest.approx(1 / 9)
 
     def test_k44_singleton_fallback_formula(self):
-        fit = fit_community(K44, partition=Partition(community=tuple(range(8)), modularity=0.0))
+        fit = fit_community(K44, community=tuple(range(8)))
         assert fit.params.p_in == 0.0
         assert any("p_in" in note for note in fit.notes)
         assert fit.params.p_out == pytest.approx(16 / 28)
+
+    def test_labels_give_the_params_of_louvains_split(self):
+        g = generate_community(CommunityParams((20, 20, 20), 0.3, 0.02), 7)
+        labels = louvain(g, seed=4)
+        fit = fit_community(g, community=labels)
+        assert fit.params == fit_community(g, seed=4).params
+        assert fit.params.sizes == tuple(labels.count(c) for c in range(max(labels) + 1))
 
     def test_probabilities_always_valid(self):
         rng = np.random.default_rng(0)
@@ -350,19 +355,19 @@ class TestFitCommunity:
 class TestFit2K:
     def test_triangle(self):
         fit = fit_2k(TRIANGLE)
-        assert fit.params.jdm.entries == {(2, 2): 3}
+        assert fit.params.entries == {(2, 2): 3}
         assert fit.objective_value == 0.0
 
     def test_path3(self):
         fit = fit_2k(graph_from_edges(3, [(0, 1), (1, 2)]))
-        assert fit.params.jdm.entries == {(1, 2): 2}
+        assert fit.params.entries == {(1, 2): 2}
 
     def test_density_preserved_through_generation(self):
         from netfit.generators import generate_2k
 
         g = generate_cba(CBAParams(60, 2, 0.4), 5)
         fit = fit_2k(g)
-        h = generate_2k(fit.params.jdm, 0)
+        h = generate_2k(fit.params, 0)
         assert density(h) == pytest.approx(density(g), abs=1e-12)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netfit.cli import _json_text, main
 from netfit.fitting import MODELS, params_from_json_obj
 from netfit.generators import (
     CBAParams,
@@ -28,7 +29,6 @@ from netfit.generators import (
     ws_rows,
 )
 from netfit.graph import Graph
-from netfit.jdm import JointDegreeMatrix
 from netfit.metrics import (
     average_clustering,
     average_path_length_normalized,
@@ -362,29 +362,87 @@ class TestTriangularUnrank:
 
 class TestValidateJdm:
     def test_triangle_jdm_valid(self):
-        assert validate_jdm(JointDegreeMatrix({(2, 2): 3})) == {2: 3}
+        assert validate_jdm(TwoKParams({(2, 2): 3})) == {2: 3}
 
     def test_non_integer_class_size(self):
         with pytest.raises(ParameterError, match="not divisible"):
-            validate_jdm(JointDegreeMatrix({(1, 2): 3}))
+            validate_jdm(TwoKParams({(1, 2): 3}))
 
     def test_two_disjoint_edges_valid(self):
-        assert validate_jdm(JointDegreeMatrix({(1, 1): 2})) == {1: 4}
+        assert validate_jdm(TwoKParams({(1, 1): 2})) == {1: 4}
 
     def test_cap_violation(self):
         # derived counts: 6 endpoints / 1 = 6 degree-1 nodes, and 3 edges fit
-        assert validate_jdm(JointDegreeMatrix({(1, 1): 3})) == {1: 6}
-        assert validate_jdm(JointDegreeMatrix({(2, 2): 2, (1, 2): 2})) == {1: 2, 2: 3}
+        assert validate_jdm(TwoKParams({(1, 1): 3})) == {1: 6}
+        assert validate_jdm(TwoKParams({(2, 2): 2, (1, 2): 2})) == {1: 2, 2: 3}
         # 3 edges inside degree class 3 need n_3 = 2 nodes, which hold one edge
         with pytest.raises(ParameterError, match=r"entry \(3,3\)=3 exceeds n_k\(n_k-1\)/2=1"):
-            validate_jdm(JointDegreeMatrix({(3, 3): 3}))
+            validate_jdm(TwoKParams({(3, 3): 3}))
 
     def test_every_violation_listed(self):
         with pytest.raises(ParameterError) as caught:
-            validate_jdm(JointDegreeMatrix({(2, 3): 1, (3, 3): 2}))
+            validate_jdm(TwoKParams({(2, 3): 1, (3, 3): 2}))
         assert str(caught.value) == (
             "invalid joint degree matrix: degree-2 endpoint total 1 not divisible by 2; "
             "degree-3 endpoint total 5 not divisible by 3")
+
+
+class TestTwoKParams:
+    """The 2K parameter is the joint degree matrix itself."""
+
+    EDGES = "a b\nb c\nc a\nc d\nd e\n"
+    # what `netfit fit` writes for EDGES with --model 2K --seed 4
+    FIT_JSON = """\
+{
+  "evaluations": 0,
+  "master_seed": 0,
+  "model": "2K",
+  "notes": [],
+  "objective_value": 0.0,
+  "params": {
+    "jdm": {
+      "entries": [
+        [
+          1,
+          2,
+          1
+        ],
+        [
+          2,
+          2,
+          1
+        ],
+        [
+          2,
+          3,
+          3
+        ]
+      ]
+    }
+  },
+  "replicates_per_eval": 0
+}
+"""
+
+    def test_fit_json_parses_and_reserialises_byte_for_byte(self):
+        obj = json.loads(self.FIT_JSON)
+        model, params, seed = params_from_json_obj(obj)
+        assert (model, seed) == ("2K", None)
+        assert params.entries == {(1, 2): 1, (2, 2): 1, (2, 3): 3}
+        assert _json_text({**obj, "params": params.to_json_obj()}) == self.FIT_JSON
+
+    def test_fit_writes_that_json(self, tmp_path):
+        edges = tmp_path / "g.txt"
+        edges.write_text(self.EDGES)
+        assert main(["fit", str(edges), "--model", "2K", "--seed", "4",
+                     "--out", str(tmp_path / "fits")]) == 0
+        assert (tmp_path / "fits" / "g_2K.json").read_text(encoding="utf-8") == self.FIT_JSON
+
+    def test_reversed_keys_are_made_canonical_and_summed(self):
+        assert TwoKParams({(3, 2): 1, (2, 3): 2, (1, 1): 4}).entries == {(2, 3): 3, (1, 1): 4}
+        parsed = TwoKParams.from_json_obj({"jdm": {"entries": [[3, 2, 1], [2, 3, 2]]}})
+        assert parsed.entries == {(2, 3): 3}
+        assert parsed.to_json_obj() == {"jdm": {"entries": [[2, 3, 3]]}}
 
 
 STAR_HEAVY = graph_from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (4, 5), (4, 6)])
@@ -400,17 +458,17 @@ def _mean_distance(g):
 
 class TestGenerate2K:
     def test_unique_triangle(self):
-        g = generate_2k(JointDegreeMatrix({(2, 2): 3}), 0)
+        g = generate_2k(TwoKParams({(2, 2): 3}), 0)
         assert degree_sequence(g) == (2, 2, 2)
         assert g.edge_count == 3
 
     def test_path3(self):
-        g = generate_2k(JointDegreeMatrix({(1, 2): 2}), 0)
+        g = generate_2k(TwoKParams({(1, 2): 2}), 0)
         assert sorted(degree_sequence(g)) == [1, 1, 2]
 
     def test_invalid_input_raises(self):
         with pytest.raises(ParameterError):
-            generate_2k(JointDegreeMatrix({(1, 2): 3}), 0)
+            generate_2k(TwoKParams({(1, 2): 3}), 0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_round_trip_mixed_generators(self, seed):
@@ -514,7 +572,7 @@ SAMPLE_PARAMS = {
     CBAParams: CBAParams(12, 2, 0.5),
     DDParams: DDParams(12, 0.7),
     CommunityParams: CommunityParams((4, 8), 0.5, 0.1),
-    TwoKParams: TwoKParams(JointDegreeMatrix({(2, 2): 3, (1, 2): 2})),
+    TwoKParams: TwoKParams({(2, 2): 3, (1, 2): 2}),
 }
 
 
@@ -524,7 +582,7 @@ class TestDispatchAndSerialization:
         assert generate(CBAParams(5, 1, 0.0), 1).edge_count == 4
         assert generate(DDParams(3, 1.0), 1).edge_count == 2
         assert generate(CommunityParams((3, 3), 1.0, 0.0), 1).edge_count == 6
-        assert generate(TwoKParams(JointDegreeMatrix({(2, 2): 3})), 1).edge_count == 3
+        assert generate(TwoKParams({(2, 2): 3}), 1).edge_count == 3
 
     @pytest.mark.parametrize(
         "params", [(spec.name, SAMPLE_PARAMS[spec.params_type]) for spec in MODELS]

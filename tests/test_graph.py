@@ -11,7 +11,6 @@ from netfit.generators import (
     CBAParams,
     CommunityParams,
     DDParams,
-    TwoKParams,
     WSParams,
     generate,
 )
@@ -316,7 +315,7 @@ def _kept_array_graphs():
         "CBA": cba,
         "DD": generate(DDParams(30, 0.6), 3),
         "Com": generate(CommunityParams((10, 12), 0.5, 0.1), 4),
-        "2K": generate(TwoKParams(joint_degree_matrix(cba)), 5),
+        "2K": generate(joint_degree_matrix(cba), 5),
         "parsed": parse_edge_list("b a\na c\nc b\nd a\n"),
     }
 

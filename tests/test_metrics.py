@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netfit import metrics
-from netfit.graph import load_edge_list
+from netfit.graph import Graph, load_edge_list
 from netfit.metrics import (
     METRIC_FIELDS,
     MetricDomainError,
@@ -34,6 +35,7 @@ from netfit.generators import (
     DDParams,
     WSParams,
     cba_rows,
+    generate,
     generate_2k,
     generate_cba,
     generate_community,
@@ -238,6 +240,19 @@ class TestClusteringKernel:
         assert value == 1.0
         assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_a_low_id_hub_is_oriented_by_degree(self):
+        # Orienting edges by id alone puts all n - 1 edges of a star whose
+        # hub has id 0 in one out-row: (n - 1)^2 / 2 wedges, about 4.5 s
+        # here against about 1.5 ms when the hub's degree orients them.
+        n = 20_000
+        star = Graph([range(1, n)] + [[0]] * (n - 1))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert average_clustering(star) == 0.0
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.25, f"{min(times):.3f} s"
+
 
 class TestEigenvectorCentrality:
     def test_triangle_uniform(self):
@@ -332,6 +347,43 @@ class TestLanczos:
                                    v0=np.ones(g.node_count))
             vec = vecs[:, 0] * np.sign(vecs[:, 0].sum())
             assert max_eigenvector_centrality(g) == pytest.approx(vec.max(), abs=1e-8)
+
+
+class TestLanczosBits:
+    """Bit-for-bit values: dataset.csv writes max_eigenv_c with repr."""
+
+    # Without the reorthogonalisation against the whole basis, each of
+    # these moves in its last bits.
+    CORPUS_BITS = {
+        "brain_00.txt": "0.22367023859880977",
+        "chems_00.txt": "0.27777711968605034",
+        "food_00.txt": "0.21512218008386141",
+        "social_02.txt": "0.3152673695888206",
+    }
+    GENERATED_BITS = [
+        (WSParams(300, 6, 0.05), 2, "0.11276614993129877"),
+        (CBAParams(500, 3, 0.4), 4, "0.41946832784319826"),
+        (CommunityParams((100, 100, 100), 0.1, 0.01), 6, "0.11887707440057671"),
+    ]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_BITS))
+    def test_corpus(self, name):
+        value = max_eigenvector_centrality(load_edge_list(CORPUS / name))
+        assert repr(value) == self.CORPUS_BITS[name]
+
+    @pytest.mark.parametrize("params, seed, bits", GENERATED_BITS, ids=["WS", "CBA", "Com"])
+    def test_generated(self, params, seed, bits):
+        assert repr(max_eigenvector_centrality(generate(params, seed))) == bits
+
+    def test_a_negated_ritz_vector_gives_the_same_bits(self, monkeypatch):
+        # The sign rule, not the sign the tridiagonal solve happens to give,
+        # decides the sign of the result.
+        graphs = [load_edge_list(path) for path in sorted(CORPUS.glob("*.txt"))[:5]]
+        want = [repr(max_eigenvector_centrality(g)) for g in graphs]
+        top = metrics._top_eigenvector
+        monkeypatch.setattr(metrics, "_top_eigenvector",
+                            lambda alpha, beta: [-c for c in top(alpha, beta)])
+        assert [repr(max_eigenvector_centrality(g)) for g in graphs] == want
 
 
 class TestNearLatticeWS:
