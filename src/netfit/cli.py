@@ -35,8 +35,11 @@ def _input_text(path, kind):
     return utf8_text(path, lambda line: InputError(f"{kind} {path}:{line}: not UTF-8 text"))
 
 
-def _read_config(path):
-    """Parse a `key = value` config file into {key: (raw value, "config <path>:<line>")}."""
+def _read_config(path, known):
+    """Parse a `key = value` config file into {key: (raw value, "config <path>:<line>")}.
+
+    A key outside ``known``, the keys that some command takes, is refused.
+    """
     values = {}
     for lineno, line in enumerate(_input_text(path, "config").splitlines(), 1):
         stripped = line.strip()
@@ -45,7 +48,11 @@ def _read_config(path):
         if "=" not in stripped:
             raise InputError(f"config {path}:{lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
-        values[key.strip().replace("-", "_")] = (raw.strip(), f"config {path}:{lineno}")
+        key = key.strip()
+        name = key.replace("-", "_")
+        if name not in known:
+            raise InputError(f"config {path}:{lineno}: unknown key {key!r} (no command takes it)")
+        values[name] = (raw.strip(), f"config {path}:{lineno}")
     return values
 
 
@@ -360,7 +367,8 @@ def build_parser():
     Every overridable option defaults to _UNSET and records its action
     and real default in the command's ``options`` map; main() applies
     explicit flag > config value > real default, and a config value goes
-    through the same ``type`` and ``choices`` as the flag.
+    through the same ``type`` and ``choices`` as the flag. A config key
+    that no command takes is refused.
     """
     parser = argparse.ArgumentParser(
         prog="netfit",
@@ -368,11 +376,13 @@ def build_parser():
         "measure, score and classify them.",
     )
     parser.add_argument("--config", help="key = value file overriding defaults")
+    parser._config_keys = set()  # every option a config file may set, over all commands
     sub = parser.add_subparsers(dest="command", required=True)
 
     def opt(p, name, real_default, **kwargs):
         action = p.add_argument(name, default=_UNSET, **kwargs)
         p._options[action.dest] = (action, real_default)
+        parser._config_keys.add(action.dest)
 
     def new_command(name, func, help_text, needs_out=False):
         p = sub.add_parser(name, help=help_text)
@@ -436,7 +446,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _read_config(args.config) if args.config else {}
+        config = _read_config(args.config, parser._config_keys) if args.config else {}
         for key, (action, real_default) in args.options.items():
             if getattr(args, key) is _UNSET:
                 setattr(args, key,

@@ -481,13 +481,13 @@ def fit_model(g, model, budget=DEFAULT_BUDGET, replicates=DEFAULT_REPLICATES, se
 
 
 def params_from_json_obj(obj):
-    """(model, validated params, seed or None) from a fit report's JSON object.
+    """(model, params, seed or None) from a fit report's JSON object.
 
-    Any malformed part raises a ParameterError that says what is wrong.
+    Any malformed part, and any value the params type refuses, raises a
+    ParameterError that says what is wrong.
     """
     spec = model_spec(json_key(obj, "model"))
     params = spec.params_type.from_json_obj(json_key(obj, "params"))
-    params.validate()
     seed = obj.get("seed")
     if seed is not None and (type(seed) is not int or seed < 0):
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")

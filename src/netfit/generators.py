@@ -84,7 +84,7 @@ class WSParams(_FieldwiseJson):
     K: int
     p: float
 
-    def validate(self):
+    def __post_init__(self):
         if self.K % 2 != 0 or not (2 <= self.K < self.n):
             raise ParameterError(f"WS requires even K with 2 <= K < n, got n={self.n} K={self.K}")
         if not 0.0 <= self.p <= 1.0:
@@ -97,7 +97,7 @@ class CBAParams(_FieldwiseJson):
     m: int
     p: float
 
-    def validate(self):
+    def __post_init__(self):
         if not 1 <= self.m < self.n:
             raise ParameterError(f"CBA requires 1 <= m < n, got n={self.n} m={self.m}")
         if not 0.0 <= self.p <= 1.0:
@@ -109,7 +109,7 @@ class DDParams(_FieldwiseJson):
     n: int
     p: float
 
-    def validate(self):
+    def __post_init__(self):
         if self.n < 2:
             raise ParameterError(f"DD requires n >= 2, got {self.n}")
         if not 0.0 < self.p <= 1.0:
@@ -124,17 +124,15 @@ class CommunityParams:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-
-    @property
-    def n(self):
-        return sum(self.sizes)
-
-    def validate(self):
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise ParameterError(f"community sizes must all be >= 1, got {self.sizes}")
         for name, value in (("p_in", self.p_in), ("p_out", self.p_out)):
             if not 0.0 <= value <= 1.0:
                 raise ParameterError(f"{name} out of [0,1]: {value}")
+
+    @property
+    def n(self):
+        return sum(self.sizes)
 
     def to_json_obj(self):
         return {"sizes": list(self.sizes), "p_in": self.p_in, "p_out": self.p_out}
@@ -154,24 +152,24 @@ class TwoKParams:
     The JDM of a graph records, for each degree pair (k, l), how many
     edges join a degree-k node to a degree-l node. It pins down the
     degree sequence, density and degree correlations of a graph exactly,
-    which is what makes it a universal fitting target. Keys are made
-    canonical (k <= l) and the counts of keys that coincide are summed.
-    The class sizes n_k follow from the entries; :func:`validate_jdm`
-    computes them.
+    which is what makes it a universal fitting target. ``entries`` may
+    also be given as ``((k, l), count)`` pairs. Keys are made canonical
+    (k <= l) and the counts of keys that coincide are summed. The class
+    sizes ``{k: n_k}`` that :func:`validate_jdm` computes are kept as
+    ``class_sizes``, which is not a field.
     """
 
     entries: dict
 
     def __post_init__(self):
         norm = {}
-        for (k, l), c in self.entries.items():
+        pairs = self.entries.items() if isinstance(self.entries, dict) else self.entries
+        for (k, l), c in pairs:
             k, l = int(k), int(l)
             key = (k, l) if k <= l else (l, k)
             norm[key] = norm.get(key, 0) + int(c)
         object.__setattr__(self, "entries", norm)
-
-    def validate(self):
-        validate_jdm(self)
+        object.__setattr__(self, "class_sizes", validate_jdm(self))
 
     def to_json_obj(self):
         return {"jdm": {"entries": [[k, l, c] for (k, l), c in sorted(self.entries.items())]}}
@@ -185,7 +183,7 @@ class TwoKParams:
             for e in entries
         ):
             raise ParameterError("jdm entries must be a list of [k, l, count] integer triples")
-        return cls({(k, l): c for k, l, c in entries})
+        return cls([((k, l), c) for k, l, c in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +207,6 @@ def ws_rows(params, seed):
 
     Returns (rows, interval): see the module docstring.
     """
-    params.validate()
     n, K = params.n, params.K
     k = K // 2
     draws = Draws(seed)
@@ -296,7 +293,6 @@ def cba_rows(params, seed):
 
     Returns (rows, interval): see the module docstring.
     """
-    params.validate()
     n, m = params.n, params.m
     draws = Draws(seed)
     word, limit = draws.word, coin_limit(params.p)
@@ -369,7 +365,6 @@ def dd_rows(params, seed):
     Returns (rows, interval), the interval being the point one of p's
     own coin limit: tracking DD's coins costs more than replaying saves.
     """
-    params.validate()
     n, p = params.n, params.p
     draws = Draws(seed)
     adj = [[1], [0]]
@@ -422,7 +417,6 @@ def generate_community(params, seed):
     that many distinct pairs are placed uniformly, which reproduces the
     independent-pair distribution exactly.
     """
-    params.validate()
     sizes = params.sizes
     n = params.n
     rng = np.random.default_rng(seed)
@@ -532,7 +526,7 @@ def generate_2k(params, seed):
     its open node pairs instead, so no entry near its cap costs more
     than O(n_k * n_l) per class pair.
     """
-    counts = validate_jdm(params)
+    counts = params.class_sizes
     start = {}  # first node id of each degree class
     target = []
     for k in sorted(counts):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from operator import length_hint
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -46,7 +46,7 @@ def coin_limit(p):
     return math.ceil(p * 2.0**53) << 11
 
 
-_DRAWS_BLOCK = 256  # raw words fetched from the bit generator at a time
+_DRAWS_BLOCK = 256  # raw words read from the bit generator at a time
 _LOW32 = (1 << 32) - 1
 
 
@@ -58,9 +58,9 @@ class Draws:
     ``Generator.integers(n)`` on ``numpy.random.default_rng(seed)``, for
     any interleaving of the two; ``thin`` makes the coins of a row in one
     pass. A coin with probability p is ``word() < coin_limit(p)``.
-    Raw 64-bit words come in blocks from the PCG64 bit generator, which a
-    Draws owns: it reads ahead of what it has returned, so no other code
-    may draw from that bit generator.
+    The raw 64-bit words are one endless stream, read in blocks from the
+    PCG64 bit generator, which a Draws owns: it reads ahead of what it
+    has returned, so no other code may draw from that bit generator.
 
     ``integers`` follows numpy's 32-bit path: one 32-bit word per try,
     the low half of a raw word first and its high half kept for the next
@@ -68,34 +68,19 @@ class Draws:
     ``word()`` takes a whole raw word and leaves a kept half in place.
     """
 
-    __slots__ = ("_bitgen", "_words", "_next", "_half")
+    __slots__ = ("_words", "word", "_half")
 
     def __init__(self, seed):
-        self._bitgen = np.random.default_rng(seed).bit_generator
-        self._words = iter(())
-        self._next = self._words.__next__
+        bitgen = np.random.default_rng(seed).bit_generator
+        self._words = chain.from_iterable(
+            bitgen.random_raw(_DRAWS_BLOCK).tolist() for _ in repeat(None))
+        # the raw 64-bit word of one ``random()``: that value is ``(word >> 11) * 2**-53``
+        self.word = self._words.__next__
         self._half = None  # the high half of the last word split for integers
-
-    def _refill(self, need=1):
-        """Buffer at least ``need`` words, the unread ones first."""
-        words = list(self._words)
-        words += self._bitgen.random_raw(max(_DRAWS_BLOCK, need)).tolist()
-        self._words = iter(words)
-        self._next = self._words.__next__
-
-    def word(self):
-        """The raw 64-bit word of one ``random()``: that value is ``(word >> 11) * 2**-53``."""
-        try:
-            return self._next()
-        except StopIteration:
-            self._refill()
-            return self._next()
 
     def thin(self, items, p):
         """The items kept by one coin each, in order: ``[x for x in items if self.word() < limit]``
         with ``limit = coin_limit(p)``, so each coin is one integer comparison."""
-        if length_hint(self._words) < len(items):
-            self._refill(len(items))
         limit = coin_limit(p)
         return [x for x, word in zip(items, self._words) if word < limit]
 
@@ -105,11 +90,7 @@ class Draws:
         if u32 is not None:
             self._half = None
             return u32
-        try:
-            word = self._next()
-        except StopIteration:
-            self._refill()
-            word = self._next()
+        word = self.word()
         self._half = word >> 32
         return word & _LOW32
 
@@ -121,11 +102,7 @@ class Draws:
             return 0
         u32 = self._half  # self._uint32(), inlined on this hot path
         if u32 is None:
-            try:
-                word = self._next()
-            except StopIteration:
-                self._refill()
-                word = self._next()
+            word = self.word()
             self._half = word >> 32
             u32 = word & _LOW32
         else:

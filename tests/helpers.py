@@ -484,7 +484,6 @@ def reference_cba_rows(params, seed):
     from netfit.generators import _weighted_pick
     from netfit.seeds import Draws, coin_limit
 
-    params.validate()
     n, m = params.n, params.m
     draws = Draws(seed)
     word, limit = draws.word, coin_limit(params.p)

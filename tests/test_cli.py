@@ -422,6 +422,25 @@ class TestConfigFile:
         assert err == f"error: config {cfg}:2: seed must be an integer\n"
         assert not (tmp_path / "f").exists()
 
+    def test_key_no_command_takes_exits_2_naming_line(self, tmp_path, capsys):
+        src = tmp_path / "tri.txt"
+        src.write_text(TRIANGLE)
+        cfg = tmp_path / "netfit.cfg"
+        cfg.write_text("seed = 1\nbugdet = 5\n")
+        assert main(["--config", str(cfg), "fit", str(src), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config {cfg}:2: unknown key 'bugdet' (no command takes it)\n"
+        assert not (tmp_path / "f").exists()
+
+    def test_key_another_command_takes_is_accepted(self, tmp_path):
+        src = tmp_path / "tri.txt"
+        src.write_text(TRIANGLE)
+        cfg = tmp_path / "netfit.cfg"
+        cfg.write_text("jobs = 2\nfit-replicates = 1\nbudget = 2\n")
+        assert main(["--config", str(cfg), "fit", str(src), "--model", "CBA", "--seed", "1",
+                     "--out", str(tmp_path / "f")]) == 0
+        assert (tmp_path / "f" / "tri_CBA.json").exists()
+
 
 class TestBadOptionValues:
     @pytest.mark.parametrize(

@@ -261,14 +261,45 @@ class TestRowBuilders:
             rows, _ = build(params, seed)
             assert Graph([sorted(row) for row in rows]) == generate(params, seed)
 
+
+JDM = "invalid joint degree matrix: "
+
+
+class TestParamsRefuseInvalidValues:
+    """Every params type refuses an invalid value when it is made, so no
+    generator or fit-JSON reader checks it again."""
+
     @pytest.mark.parametrize(
-        "build, params",
-        [(ws_rows, WSParams(10, 3, 0.1)), (cba_rows, CBAParams(5, 5, 0.1)),
-         (dd_rows, DDParams(10, 0.0))],
+        "params_type, args, message",
+        [
+            (WSParams, (10, 3, 0.1), "WS requires even K with 2 <= K < n, got n=10 K=3"),
+            (WSParams, (10, 0, 0.1), "WS requires even K with 2 <= K < n, got n=10 K=0"),
+            (WSParams, (10, 10, 0.1), "WS requires even K with 2 <= K < n, got n=10 K=10"),
+            (WSParams, (10, 4, -0.1), "WS rewiring probability out of [0,1]: -0.1"),
+            (WSParams, (10, 4, 1.5), "WS rewiring probability out of [0,1]: 1.5"),
+            (CBAParams, (5, 0, 0.1), "CBA requires 1 <= m < n, got n=5 m=0"),
+            (CBAParams, (5, 5, 0.1), "CBA requires 1 <= m < n, got n=5 m=5"),
+            (CBAParams, (5, 2, 1.5), "CBA triad probability out of [0,1]: 1.5"),
+            (CBAParams, (5, 2, float("nan")), "CBA triad probability out of [0,1]: nan"),
+            (DDParams, (1, 0.5), "DD requires n >= 2, got 1"),
+            (DDParams, (10, 0.0), "DD activation probability must be in (0,1], got 0.0"),
+            (DDParams, (10, 1.5), "DD activation probability must be in (0,1], got 1.5"),
+            (CommunityParams, ((), 0.5, 0.1), "community sizes must all be >= 1, got ()"),
+            (CommunityParams, ((3, 0), 0.5, 0.1), "community sizes must all be >= 1, got (3, 0)"),
+            (CommunityParams, ((3, 3), 1.5, 0.1), "p_in out of [0,1]: 1.5"),
+            (CommunityParams, ((3, 3), 0.5, -0.5), "p_out out of [0,1]: -0.5"),
+            (TwoKParams, ({(1, 2): -1},),
+             JDM + "negative count for (1,2); degree-2 endpoint total -1 not divisible by 2"),
+            (TwoKParams, ({(0, 1): 1},), JDM + "degree 0 < 1 in entry (0,1)"),
+            (TwoKParams, ({(3, 2): 3},), JDM + "degree-2 endpoint total 3 not divisible by 2"),
+            (TwoKParams, ({(3, 3): 3},), JDM + "entry (3,3)=3 exceeds n_k(n_k-1)/2=1"),
+            (TwoKParams, ({(2, 4): 4},), JDM + "entry (2,4)=4 exceeds n_k*n_l=2"),
+        ],
     )
-    def test_row_builders_validate(self, build, params):
-        with pytest.raises(ParameterError):
-            build(params, 0)
+    def test_refused_at_construction_with_its_message(self, params_type, args, message):
+        with pytest.raises(ParameterError) as caught:
+            params_type(*args)
+        assert str(caught.value) == message
 
 
 class TestCommunity:
@@ -439,10 +470,24 @@ class TestTwoKParams:
         assert (tmp_path / "fits" / "g_2K.json").read_text(encoding="utf-8") == self.FIT_JSON
 
     def test_reversed_keys_are_made_canonical_and_summed(self):
-        assert TwoKParams({(3, 2): 1, (2, 3): 2, (1, 1): 4}).entries == {(2, 3): 3, (1, 1): 4}
-        parsed = TwoKParams.from_json_obj({"jdm": {"entries": [[3, 2, 1], [2, 3, 2]]}})
-        assert parsed.entries == {(2, 3): 3}
-        assert parsed.to_json_obj() == {"jdm": {"entries": [[2, 3, 3]]}}
+        assert TwoKParams({(3, 2): 2, (2, 3): 4, (1, 1): 4}).entries == {(2, 3): 6, (1, 1): 4}
+        parsed = TwoKParams.from_json_obj({"jdm": {"entries": [[3, 2, 2], [2, 3, 4]]}})
+        assert parsed.entries == {(2, 3): 6}
+        assert parsed.to_json_obj() == {"jdm": {"entries": [[2, 3, 6]]}}
+
+    @pytest.mark.parametrize("entries", [[[2, 3, 2], [2, 3, 4]], [[3, 2, 2], [2, 3, 4]]],
+                             ids=["repeated", "reversed"])
+    def test_json_entries_whose_keys_coincide_are_summed(self, entries):
+        assert TwoKParams.from_json_obj({"jdm": {"entries": entries}}).entries == {(2, 3): 6}
+
+    def test_class_sizes_are_kept_when_made(self):
+        from_graph = joint_degree_matrix(graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3),
+                                                              (3, 4)]))
+        _, from_json, _ = params_from_json_obj(json.loads(self.FIT_JSON))
+        for params in (from_graph, from_json):
+            assert params.class_sizes == validate_jdm(params) == {1: 1, 2: 3, 3: 1}
+        assert from_json == from_graph
+        assert "class_sizes" not in repr(from_json)
 
 
 STAR_HEAVY = graph_from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (4, 5), (4, 6)])
