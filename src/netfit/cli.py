@@ -207,6 +207,8 @@ def _read_manifest(path):
         if name in names:
             raise InputError(f"{where}: duplicate name {name!r}")
         for field, value in (("name", name), ("path", rel)):
+            if not value:
+                raise InputError(f"{where}: empty {field} field")
             if "\0" in value:  # no file name can hold one
                 raise InputError(f"{where}: NUL byte in the {field} field")
         if "/" in name or "\\" in name:  # output files are named after it

@@ -14,12 +14,11 @@ every graph the library returns is still checked. A row builder also
 returns the interval ``(below, above)`` of coin limits
 (:func:`~netfit.seeds.coin_limit`) over which its coins fall the same
 way: at any p whose limit L has ``below < L <= above`` it builds the
-same rows from the same seed. WS and CBA track the compared words
-nearest their limit on each side; DD reports the point interval of its
-own limit. CBA builds a step's triad candidates only once one of its
-coins falls below the limit, so at small p a link costs little beyond
-its coin and its attachment pick. Randomness comes from
-``numpy.random.default_rng(seed)`` only: WS, CBA, DD and 2K take its
+same rows from the same seed. Each builder tracks the compared words
+nearest its limit on each side. CBA builds a step's triad candidates
+only once one of its coins falls below the limit, so at small p a link
+costs little beyond its coin and its attachment pick. Randomness comes
+from ``numpy.random.default_rng(seed)`` only: WS, CBA, DD and 2K take its
 scalar draws through :class:`~netfit.seeds.Draws`, which owns the bit
 generator and gives numpy's values without numpy's per-call cost; Com
 draws from the numpy generator itself.
@@ -362,17 +361,25 @@ def dd_rows(params, seed):
     id, so appending it to each kept neighbor's row keeps that row in
     order, and the replica's own row is a subsequence of a sorted row.
 
-    Returns (rows, interval), the interval being the point one of p's
-    own coin limit: tracking DD's coins costs more than replaying saves.
+    Returns (rows, interval): see the module docstring.
     """
     n, p = params.n, params.p
     draws = Draws(seed)
+    word, limit = draws.word, coin_limit(p)
+    below, above = -1, 1 << 64  # the compared words nearest the limit, under and over it
     adj = [[1], [0]]
     failures = 0
     budget = DD_FAILURE_BUDGET_PER_NODE * n
     while len(adj) < n:
-        nbrs = adj[draws.integers(len(adj))]
-        kept = draws.thin(nbrs, p)  # one coin per neighbor, in row order
+        kept = []
+        for u in adj[draws.integers(len(adj))]:  # one coin per neighbor, in row order
+            coin = word()
+            if coin < limit:
+                kept.append(u)
+                if coin > below:
+                    below = coin
+            elif coin < above:
+                above = coin
         if not kept:
             failures += 1
             if failures > budget:
@@ -384,8 +391,7 @@ def dd_rows(params, seed):
         for u in kept:
             adj[u].append(replica)
         adj.append(kept)
-    limit = coin_limit(p)
-    return adj, (limit - 1, limit)
+    return adj, (below, above)
 
 
 # ---------------------------------------------------------------------------

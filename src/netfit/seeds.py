@@ -56,8 +56,8 @@ class Draws:
     ``word()`` takes the raw word of one ``Generator.random()`` call, and
     ``integers(n)`` returns, call for call, the same value as
     ``Generator.integers(n)`` on ``numpy.random.default_rng(seed)``, for
-    any interleaving of the two; ``thin`` makes the coins of a row in one
-    pass. A coin with probability p is ``word() < coin_limit(p)``.
+    any interleaving of the two. A coin with probability p is
+    ``word() < coin_limit(p)``.
     The raw 64-bit words are one endless stream, read in blocks from the
     PCG64 bit generator, which a Draws owns: it reads ahead of what it
     has returned, so no other code may draw from that bit generator.
@@ -68,21 +68,14 @@ class Draws:
     ``word()`` takes a whole raw word and leaves a kept half in place.
     """
 
-    __slots__ = ("_words", "word", "_half")
+    __slots__ = ("word", "_half")
 
     def __init__(self, seed):
         bitgen = np.random.default_rng(seed).bit_generator
-        self._words = chain.from_iterable(
-            bitgen.random_raw(_DRAWS_BLOCK).tolist() for _ in repeat(None))
         # the raw 64-bit word of one ``random()``: that value is ``(word >> 11) * 2**-53``
-        self.word = self._words.__next__
+        self.word = chain.from_iterable(
+            bitgen.random_raw(_DRAWS_BLOCK).tolist() for _ in repeat(None)).__next__
         self._half = None  # the high half of the last word split for integers
-
-    def thin(self, items, p):
-        """The items kept by one coin each, in order: ``[x for x in items if self.word() < limit]``
-        with ``limit = coin_limit(p)``, so each coin is one integer comparison."""
-        limit = coin_limit(p)
-        return [x for x, word in zip(items, self._words) if word < limit]
 
     def _uint32(self):
         """numpy's next 32-bit word: a kept high half, else the low half of a new word."""

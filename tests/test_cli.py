@@ -483,6 +483,10 @@ class TestBadOptionValues:
             (["pipeline", "{backslash_manifest}"],
              "error: manifest {backslash_manifest}:2: name 'sub\\\\x' must be a file-name "
              "stem, without / or \\"),
+            (["pipeline", "{empty_name_manifest}"],
+             "error: manifest {empty_name_manifest}:3: empty name field"),
+            (["pipeline", "{empty_path_manifest}"],
+             "error: manifest {empty_path_manifest}:2: empty path field"),
             (["fit", "{latin1_graph}"], "error: {latin1_graph}: line 3: not UTF-8 text"),
             (["classify", "{latin1_dataset}", "--task", "domain"],
              "error: dataset {latin1_dataset}:2: not UTF-8 text"),
@@ -492,7 +496,8 @@ class TestBadOptionValues:
              "generate-seed-minus-1", "folds-1", "folds-100", "config-model-svm", "config-folds-1",
              "pipeline-jobs-0", "config-not-utf8", "manifest-not-utf8", "manifest-nul-path",
              "manifest-nul-name", "manifest-name-slash", "manifest-name-dotdot",
-             "manifest-name-backslash", "edge-list-not-utf8", "dataset-not-utf8",
+             "manifest-name-backslash", "manifest-empty-name", "manifest-empty-path",
+             "edge-list-not-utf8", "dataset-not-utf8",
              "params-not-utf8"],
     )
     def test_exit_2_before_any_work(self, tmp_path, capsys, argv, message):
@@ -510,6 +515,8 @@ class TestBadOptionValues:
                  "slash_manifest": tmp_path / "slash.csv",
                  "dotdot_manifest": tmp_path / "dotdot.csv",
                  "backslash_manifest": tmp_path / "backslash.csv",
+                 "empty_name_manifest": tmp_path / "empty_name.csv",
+                 "empty_path_manifest": tmp_path / "empty_path.csv",
                  "latin1_graph": tmp_path / "latin1.txt",
                  "latin1_dataset": tmp_path / "latin1_d.csv",
                  "latin1_params": tmp_path / "latin1.json"}
@@ -530,6 +537,10 @@ class TestBadOptionValues:
             f"name,path,domain\n../../x,{corpus}/food_00.txt,food\n")
         paths["backslash_manifest"].write_text(
             f"name,path,domain\nsub\\x,{corpus}/food_00.txt,food\n")
+        paths["empty_name_manifest"].write_text(
+            f"name,path,domain\nchems_04,{corpus}/chems_04.txt,chems\n"
+            f",{corpus}/food_00.txt,food\n")
+        paths["empty_path_manifest"].write_text("name,path,domain\nchems_04, ,chems\n")
         paths["latin1_graph"].write_bytes(b"a b\rb c\r\nc caf\xe9\n")
         paths["latin1_dataset"].write_bytes(
             dataset.read_bytes().replace(b"a,10", b"\xe9,10"))

@@ -1,7 +1,11 @@
-"""tools/same_outputs.py: the per-column report on two output trees."""
+"""tools/same_outputs.py: the per-column report on two output trees, and the pinned
+output digests."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
 
 
 def _load_same_outputs():
@@ -63,3 +67,15 @@ def test_text_cells_header_and_missing_files(tmp_path):
 def test_identical_trees_report_nothing(tmp_path):
     files = {"d.csv": "a,b\n1,2\n"}
     assert same_outputs.column_report(_tree(tmp_path / "r", files), _tree(tmp_path / "w", files)) == []
+
+
+def test_outputs_match_the_pinned_digests(tmp_path):
+    pinned = json.loads(same_outputs.DIGESTS.read_text(encoding="utf-8"))
+    assert pinned["numpy"] == np.__version__, (
+        f"the output digests were written with numpy {pinned['numpy']}, this is numpy "
+        f"{np.__version__}; rewrite them with tools/same_outputs.py --write-digests "
+        "once the outputs are checked")
+    got = same_outputs.output_digests(tmp_path)
+    changed = sorted(path for path in got.keys() | pinned["files"].keys()
+                     if got.get(path) != pinned["files"].get(path))
+    assert not changed, f"{len(changed)} output files differ from the pinned digests: {changed}"

@@ -31,21 +31,6 @@ class TestDraws:
                                              chooser.randrange(1, 2**32 + 1)))
                 assert_same_bits(draws.integers(n), int(rng.integers(n)))
 
-    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.3, 0.5, 1 - 2**-53, 1.0])
-    def test_thin_is_one_random_per_item(self, p):
-        chooser = random.Random(11)
-        draws, rng = Draws(4), np.random.default_rng(4)
-        for _ in range(300):
-            items = list(range(chooser.choice((0, 1, 5, 40, 300, 1000))))
-            assert draws.thin(items, p) == [x for x in items if rng.random() < p]
-            assert draws.integers(7) == int(rng.integers(7))  # leaves a kept half word
-
-    def test_thin_coin_is_strict(self):
-        # p equal to the coin's own value is not kept, as random() < p
-        p = np.random.default_rng(9).random()
-        assert Draws(9).thin(["a"], p) == []
-        assert Draws(9).thin(["a"], np.nextafter(p, 1.0)) == ["a"]
-
     @pytest.mark.parametrize("p", [0.0, 1e-300, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0])
     def test_coin_limit_is_random_below_p(self, p):
         # the words at and next to the limit, and both ends of the word range

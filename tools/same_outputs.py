@@ -27,11 +27,21 @@ checkout:
 Exit status: 0 when every output is byte-identical; 1 when any differs,
 or when a command of this checkout exits non-zero; 2 when git cannot
 export the ref.
+
+The digest steps of the same command set (``pipeline --jobs 1``,
+``gof`` and the three forest ``classify`` tasks) are pinned in
+``tests/data/output_digests.json``: one SHA-256 per output file, with
+the numpy version that wrote them. A tier-1 test reruns those steps
+in-process and names every file that differs. A change that alters
+these bytes on purpose rewrites the file with
+
+    python3 tools/same_outputs.py --write-digests
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -45,6 +55,10 @@ SEED = "7"
 GRAPH = CORPUS / "brain_04.txt"
 CBA_FIT = {"model": "CBA", "params": {"n": 1000, "m": 5, "p": 0.005}}
 CBA_FIT_FILE = "cba_n1000.json"  # written into each output tree by run()
+DIGESTS = ROOT / "tests" / "data" / "output_digests.json"
+# the steps of command_set() whose outputs the digest file pins
+DIGEST_STEPS = ("pipeline_jobs1", "gof", "classify_domain_forest",
+                "classify_category_forest", "classify_subcategory_forest")
 
 
 def command_set():
@@ -108,6 +122,39 @@ def run(src, out_dir):
     return failed
 
 
+def output_digests(out_dir):
+    """{path: SHA-256} of every file the digest steps write into out_dir.
+
+    The steps run in-process through ``netfit.cli.main``, with out_dir
+    as the working directory; RuntimeError if one exits non-zero.
+    """
+    from netfit.cli import main as netfit_main
+
+    steps = dict(command_set())
+    cwd = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        for name in DIGEST_STEPS:
+            code = netfit_main([str(arg) for arg in steps[name]])
+            if code:
+                raise RuntimeError(f"{name} exited {code}")
+    finally:
+        os.chdir(cwd)
+    return {path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+
+def write_digests():
+    """Rewrite :data:`DIGESTS` from this interpreter's netfit and numpy."""
+    import numpy
+
+    with tempfile.TemporaryDirectory(prefix="digests_") as tmp:
+        files = output_digests(Path(tmp))
+    DIGESTS.write_text(json.dumps({"numpy": numpy.__version__, "files": files}, indent=1)
+                       + "\n", encoding="utf-8")
+    print(f"{len(files)} digests -> {DIGESTS}")
+
+
 def column_report(ref_dir, work_dir):
     """Lines naming, per CSV file that differs between the trees, its changed columns.
 
@@ -162,8 +209,12 @@ def export(ref, dest):
 def main(argv):
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: same_outputs.py <git-ref>", file=sys.stderr)
+        print("usage: same_outputs.py <git-ref> | --write-digests", file=sys.stderr)
         return 2
+    if argv == ["--write-digests"]:
+        sys.path.insert(0, str(ROOT / "src"))
+        write_digests()
+        return 0
     ref = argv[0]
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
