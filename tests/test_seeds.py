@@ -31,6 +31,24 @@ class TestDraws:
                                              chooser.randrange(1, 2**32 + 1)))
                 assert_same_bits(draws.integers(n), int(rng.integers(n)))
 
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 0.3, 0.5, 1 - 2**-53, 1.0])
+    def test_coin_is_one_word_per_item(self, p):
+        # the row builders' coin, word() < coin_limit(p), keeps the items
+        # that numpy's random() < p keeps, one word each
+        chooser = random.Random(11)
+        draws, rng = Draws(4), np.random.default_rng(4)
+        word, limit = draws.word, coin_limit(p)
+        for _ in range(300):
+            items = list(range(chooser.choice((0, 1, 5, 40, 300, 1000))))
+            assert [x for x in items if word() < limit] == [x for x in items if rng.random() < p]
+            assert draws.integers(7) == int(rng.integers(7))  # leaves a kept half word
+
+    def test_coin_is_strict_at_its_own_value(self):
+        # p equal to the coin's own value does not fall, as random() < p
+        p = np.random.default_rng(9).random()
+        assert not Draws(9).word() < coin_limit(p)
+        assert Draws(9).word() < coin_limit(np.nextafter(p, 1.0))
+
     @pytest.mark.parametrize("p", [0.0, 1e-300, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0])
     def test_coin_limit_is_random_below_p(self, p):
         # the words at and next to the limit, and both ends of the word range
