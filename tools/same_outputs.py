@@ -29,7 +29,8 @@ or when a command of this checkout exits non-zero; 2 when git cannot
 export the ref.
 
 The digest steps of the same command set (``pipeline --jobs 1``,
-``gof`` and the three forest ``classify`` tasks) are pinned in
+``gof``, the three ``classify`` tasks with both models, ``stability``
+and ``fit --model all``) are pinned in
 ``tests/data/output_digests.json``: one SHA-256 per output file, with
 the numpy version that wrote them. A tier-1 test reruns those steps
 in-process and names every file that differs. A change that alters
@@ -57,8 +58,10 @@ CBA_FIT = {"model": "CBA", "params": {"n": 1000, "m": 5, "p": 0.005}}
 CBA_FIT_FILE = "cba_n1000.json"  # written into each output tree by run()
 DIGESTS = ROOT / "tests" / "data" / "output_digests.json"
 # the steps of command_set() whose outputs the digest file pins
-DIGEST_STEPS = ("pipeline_jobs1", "gof", "classify_domain_forest",
-                "classify_category_forest", "classify_subcategory_forest")
+DIGEST_STEPS = ("pipeline_jobs1", "gof",
+                *(f"classify_{task}_{model}" for task in ("domain", "category", "subcategory")
+                  for model in ("tree", "forest")),
+                "stability", "fit")
 
 
 def command_set():
