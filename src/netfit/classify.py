@@ -1,10 +1,11 @@
 """Decision-tree and random-forest classification of network origin.
 
-CART trees with Gini impurity, bagged into forests with per-split
-feature subsampling. Splits cut at midpoints between distinct values and
-keep the first optimum within 1e-12; a forest's ``features_per_split``
-defaults to floor(sqrt(d)), is at least 1, and trees grow over plain
-lists of row indices. Evaluation is stratified k-fold with pooled
+Two models at fixed settings: one CART tree with Gini impurity that
+tries every feature at every split, and a forest of 100 bootstrap trees
+that each try floor(sqrt(d)) random features per split. Trees grow over
+plain lists of row indices until a node is pure or no cut separates its
+rows; cuts are at midpoints between distinct values and keep the first
+optimum within 1e-12. Evaluation is stratified k-fold with pooled
 predictions; multi-class tasks report accuracy plus the confusion
 matrix, the binary real-vs-model task reports AUC.
 
@@ -17,7 +18,7 @@ stay out.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,13 @@ from .graph import InputError
 from .metrics import METRIC_FIELDS
 
 FEATURE_FIELDS = tuple(f for f in METRIC_FIELDS if f != "density")
+FOREST_TREES = 100
+# each model's settings as its eval JSON reports them, in that order
+HYPERPARAMETERS = {
+    "tree": {"max_depth": None, "min_samples_split": 2},
+    "forest": {"trees": FOREST_TREES, "features_per_split": math.isqrt(len(FEATURE_FIELDS)),
+               "bootstrap": True, "max_depth": None},
+}
 
 
 class ClassSupportError(InputError):
@@ -109,26 +117,6 @@ class TreeNode:
         return self.feature < 0
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    features_per_split: int | None = None  # None = all features
-
-    def __post_init__(self):
-        _check_limits(self)
-        if self.min_samples_split < 2:
-            raise ValueError(f"min_samples_split must be at least 2, got {self.min_samples_split}")
-
-
-def _check_limits(config):
-    """ValueError unless ``config``'s depth and per-split feature limits are in range."""
-    if config.max_depth is not None and config.max_depth < 0:
-        raise ValueError(f"max_depth must be at least 0, got {config.max_depth}")
-    if config.features_per_split is not None and config.features_per_split < 1:
-        raise ValueError(f"features_per_split must be at least 1, got {config.features_per_split}")
-
-
 def _gini_split_score(col, labels, rows, counts):
     """Best (weighted Gini, threshold) for one feature column over ``rows``, or None.
 
@@ -158,21 +146,20 @@ def _gini_split_score(col, labels, rows, counts):
     return best
 
 
-def _grow_tree(cols, labels, rows, n_classes, config, depth, rng):
-    """CART subtree over ``rows``, indices into the feature lists ``cols`` and ``labels``."""
+def _grow_tree(cols, labels, rows, n_classes, per_split, rng):
+    """CART subtree over ``rows``, indices into the feature lists ``cols`` and ``labels``.
+
+    Each split tries ``per_split`` features drawn from ``rng``, or all of
+    them when ``per_split`` is not below their count (``rng`` unused).
+    """
     counts = [0] * n_classes
     for r in rows:
         counts[labels[r]] += 1
-    n = len(rows)
-    if (
-        max(counts) == n
-        or n < config.min_samples_split
-        or (config.max_depth is not None and depth >= config.max_depth)
-    ):
+    if max(counts) == len(rows):  # pure; a cut never leaves a side empty
         return TreeNode(counts=tuple(counts))
     d = len(cols)
-    if config.features_per_split is not None and config.features_per_split < d:
-        candidates = np.sort(rng.choice(d, size=config.features_per_split, replace=False)).tolist()
+    if per_split < d:
+        candidates = np.sort(rng.choice(d, size=per_split, replace=False)).tolist()
     else:
         candidates = range(d)
     best = None
@@ -189,8 +176,8 @@ def _grow_tree(cols, labels, rows, n_classes, config, depth, rng):
     col = cols[f]
     below = [r for r in rows if col[r] <= threshold]
     above = [r for r in rows if col[r] > threshold]
-    left = _grow_tree(cols, labels, below, n_classes, config, depth + 1, rng)
-    right = _grow_tree(cols, labels, above, n_classes, config, depth + 1, rng)
+    left = _grow_tree(cols, labels, below, n_classes, per_split, rng)
+    right = _grow_tree(cols, labels, above, n_classes, per_split, rng)
     return TreeNode(counts=tuple(counts), feature=f, threshold=threshold, left=left, right=right)
 
 
@@ -198,7 +185,6 @@ def _grow_tree(cols, labels, rows, n_classes, config, depth, rng):
 class TreeModel:
     root: TreeNode
     n_classes: int
-    config: TreeConfig
     n_features: int
 
     def _leaf_counts(self, row):
@@ -238,17 +224,15 @@ def _columns(dataset):
     return dataset.features.T.tolist(), dataset.labels.tolist()
 
 
-def train_tree(dataset, config=None, seed=0):
-    """Greedy CART on the full dataset (deterministic unless subsampling)."""
+def train_tree(dataset):
+    """Greedy CART on the full dataset, trying every feature at every split."""
     if len(dataset) < 1:
         raise ValueError("cannot train on an empty dataset")
-    config = config or TreeConfig()
-    rng = np.random.default_rng(seed)
     cols, labels = _columns(dataset)
     n_classes = len(dataset.class_names)
-    root = _grow_tree(cols, labels, list(range(len(dataset))), n_classes, config, 0, rng)
-    return TreeModel(root=root, n_classes=n_classes, config=config,
-                     n_features=dataset.features.shape[1])
+    d = dataset.features.shape[1]
+    root = _grow_tree(cols, labels, list(range(len(dataset))), n_classes, d, None)
+    return TreeModel(root=root, n_classes=n_classes, n_features=d)
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +240,9 @@ def train_tree(dataset, config=None, seed=0):
 
 
 @dataclass(frozen=True)
-class ForestConfig:
-    trees: int = 100
-    features_per_split: int | None = None  # None = floor(sqrt(d))
-    bootstrap: bool = True
-    max_depth: int | None = None
-
-    def __post_init__(self):
-        _check_limits(self)
-        if self.trees < 1:
-            raise ValueError("a forest needs at least one tree")
-
-
-@dataclass(frozen=True)
 class ForestModel:
     trees: tuple
     n_classes: int
-    config: ForestConfig  # features_per_split resolved to the count each split tries
     seed: int
 
     def _votes(self, rows):
@@ -296,27 +266,21 @@ class ForestModel:
         return tuple(map(sum, zip(*(tree.split_feature_counts() for tree in self.trees))))
 
 
-def train_forest(dataset, config=None, seed=0):
-    """Bagged CART trees with fresh random feature subsets at every split."""
+def train_forest(dataset, seed=0):
+    """FOREST_TREES bootstrap CART trees, floor(sqrt(d)) random features tried per split."""
     if len(dataset) < 2:
         raise ValueError("forest training needs at least 2 samples")
-    config = config or ForestConfig()
     d = dataset.features.shape[1]
-    per_split = config.features_per_split or math.isqrt(d)
-    config = replace(config, features_per_split=max(1, min(per_split, d)))
-    tree_config = TreeConfig(max_depth=config.max_depth,
-                             features_per_split=config.features_per_split)
     cols, labels = _columns(dataset)
     n_classes = len(dataset.class_names)
     trees = []
     n = len(dataset)
-    for i in range(config.trees):
+    for i in range(FOREST_TREES):
         rng = np.random.default_rng(seeds.xor_index(seed, i))
-        sample = rng.integers(n, size=n).tolist() if config.bootstrap else list(range(n))
-        root = _grow_tree(cols, labels, sample, n_classes, tree_config, 0, rng)
-        trees.append(TreeModel(root=root, n_classes=n_classes, config=tree_config,
-                               n_features=d))
-    return ForestModel(trees=tuple(trees), n_classes=n_classes, config=config, seed=seed)
+        sample = rng.integers(n, size=n).tolist()
+        root = _grow_tree(cols, labels, sample, n_classes, math.isqrt(d), rng)
+        trees.append(TreeModel(root=root, n_classes=n_classes, n_features=d))
+    return ForestModel(trees=tuple(trees), n_classes=n_classes, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +383,7 @@ def _task_table(table, task, domain):
     raise ValueError(f"unknown task {task!r}")
 
 
-def run_task(table, task, model="forest", k=5, seed=0, domain=None, forest_config=None,
-             tree_config=None):
+def run_task(table, task, model="forest", k=5, seed=0, domain=None):
     """Stratified k-fold evaluation of one classification problem.
 
     ``domain`` selects the subtable for the category/subcategory tasks.
@@ -428,7 +391,7 @@ def run_task(table, task, model="forest", k=5, seed=0, domain=None, forest_confi
     accuracy secondary; multi-class tasks report accuracy plus the pooled
     confusion matrix.
     """
-    if model not in ("tree", "forest"):
+    if model not in HYPERPARAMETERS:
         raise ValueError(f"unknown model {model!r}")
     subtable, label_by = _task_table(table, task, domain)
     data = dataset_from_table(subtable, label_by)
@@ -454,11 +417,10 @@ def run_task(table, task, model="forest", k=5, seed=0, domain=None, forest_confi
             labels=data.labels[train_mask],
             class_names=data.class_names,
         )
-        fold_seed = seeds.derive(seed, task, "fold", i)
         if model == "forest":
-            clf = train_forest(train, config=forest_config, seed=fold_seed)
+            clf = train_forest(train, seed=seeds.derive(seed, task, "fold", i))
         else:
-            clf = train_tree(train, config=tree_config, seed=fold_seed)
+            clf = train_tree(train)
         preds = clf.predict(data.features[test_idx])
         pooled_pred[test_idx] = preds
         if binary:
@@ -467,12 +429,6 @@ def run_task(table, task, model="forest", k=5, seed=0, domain=None, forest_confi
         split_counts = [a + b for a, b in zip(split_counts, clf.split_feature_counts())]
     conf = confusion_matrix(pooled_pred, data.labels, len(data.class_names))
     auc = roc_auc(pooled_score, (data.labels == positive).astype(int)) if binary else None
-    cfg = clf.config  # as trained, with the forest's features_per_split resolved
-    if model == "forest":
-        hyper = {**asdict(cfg), "folds": k}
-    else:
-        hyper = {"max_depth": cfg.max_depth, "min_samples_split": cfg.min_samples_split,
-                 "folds": k}
     return EvalReport(
         task=task,
         model=model,
@@ -483,7 +439,7 @@ def run_task(table, task, model="forest", k=5, seed=0, domain=None, forest_confi
         mean_fold_accuracy=float(np.mean(fold_accs)),
         confusion=tuple(tuple(int(x) for x in row) for row in conf),
         auc=auc,
-        hyperparameters=hyper,
+        hyperparameters={**HYPERPARAMETERS[model], "folds": k},
         seed=seed,
         feature_split_counts=tuple(split_counts),
     )

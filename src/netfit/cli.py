@@ -22,7 +22,7 @@ from .dataset import DOMAINS, DatasetRow, DatasetTable, csv_text, write_feature_
 from .fitting import DEFAULT_BUDGET, DEFAULT_REPLICATES, MODELS, fit_model, params_from_json_obj
 from .generators import generate
 from .gof import correlation_matrix, mean_distance_matrix, pca_project
-from .graph import (EdgeListError, InputError, ItemFailure, load_edge_list, save_edge_list,
+from .graph import (EdgeListError, InputError, ItemFailure, load_edge_list,
                     serialize_edge_list, utf8_text)
 from .metrics import feature_vector
 from .stability import stability_run
@@ -168,10 +168,11 @@ def cmd_generate(args):
         g = generate(params, seed)
     except ItemFailure as exc:  # valid params the generator still cannot realize
         raise InputError(f"params {args.params}: {exc}") from None
+    text = serialize_edge_list(g)
     if args.out:
-        save_edge_list(g, args.out)
+        _write(Path(args.out), text)
     else:
-        sys.stdout.write(serialize_edge_list(g))
+        sys.stdout.write(text)
     print(f"{model}: generated n={g.node_count} m={g.edge_count}", file=sys.stderr)
     return 0
 

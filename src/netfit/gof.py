@@ -100,12 +100,11 @@ class CorrelationMatrix:
         return csv_text(["", *METRIC_FIELDS], rows)
 
 
-def correlation_matrix(table, domain=None):
-    """Pearson correlations between the metric columns of the filtered table."""
-    filtered = table.filter(domain=domain)
-    if len(filtered) < 3:
-        raise ValueError(f"need at least 3 rows for correlations, have {len(filtered)}")
-    data = filtered.metric_matrix()
+def correlation_matrix(table):
+    """Pearson correlations between the metric columns of the table."""
+    if len(table) < 3:
+        raise ValueError(f"need at least 3 rows for correlations, have {len(table)}")
+    data = table.metric_matrix()
     flat = _flat_columns(data)
     centered = data - data.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))

@@ -45,19 +45,17 @@ class Graph:
     orientations of every edge, grouped by src in ascending order with
     each row sorted. Symmetry and simplicity are enforced at
     construction by numpy checks over the arrays, O(m log m) for m
-    edges. ``labels`` keeps the original node tokens for round-trip
-    serialization (defaults to the decimal ids). Instances are safe to
-    share across threads.
+    edges. Instances are safe to share across threads.
     """
 
-    __slots__ = ("node_count", "edge_count", "labels", "degree_array", "edge_endpoints")
+    __slots__ = ("node_count", "edge_count", "degree_array", "edge_endpoints")
 
-    def __init__(self, rows, labels=None):
+    def __init__(self, rows):
         """Graph whose node u links to the sorted row ``rows[u]``."""
-        self._adopt(*row_arrays(rows), labels)
+        self._adopt(*row_arrays(rows))
 
     @classmethod
-    def from_arrays(cls, degrees, targets, labels=None):
+    def from_arrays(cls, degrees, targets):
         """Graph from its degrees and its concatenated sorted rows.
 
         The int64 arrays are taken over, not copied, and made read-only;
@@ -69,23 +67,15 @@ class Graph:
         if deg.min(initial=0) < 0 or int(deg.sum()) != len(dst):
             raise ValueError("degrees do not match the rows")
         g = object.__new__(cls)
-        g._adopt(deg, _sources(deg), dst, labels)
+        g._adopt(deg, _sources(deg), dst)
         return g
 
-    def _adopt(self, deg, src, dst, labels):
+    def _adopt(self, deg, src, dst):
         _check_rows(deg, src, dst)
-        n = len(deg)
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels length mismatch")
         for arr in (deg, src, dst):
             arr.setflags(write=False)
-        object.__setattr__(self, "node_count", n)
+        object.__setattr__(self, "node_count", len(deg))
         object.__setattr__(self, "edge_count", len(dst) // 2)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "degree_array", deg)
         object.__setattr__(self, "edge_endpoints", (src, dst))
 
@@ -93,7 +83,7 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __eq__(self, other):
-        """Same nodes and edges (labels are not compared)."""
+        """Same nodes and edges."""
         if not isinstance(other, Graph):
             return NotImplemented
         return (np.array_equal(self.degree_array, other.degree_array)
@@ -211,14 +201,14 @@ def parse_edge_list(text):
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     src, dst = np.divmod(keys[first], n)
-    return Graph.from_arrays(np.bincount(src, minlength=n), dst, labels=tuple(ids))
+    return Graph.from_arrays(np.bincount(src, minlength=n), dst)
 
 
 SERIALIZE_CHUNK = 4096  # edges formatted into one string at a time
 
 
 def serialize_edge_list(g):
-    """Edge-list text for g: one "u v" line per edge, original labels.
+    """Edge-list text for g: one "u v" line per edge, in node ids.
 
     Lines are joined SERIALIZE_CHUNK edges at a time, so no string or
     int per edge is held beside the text; an edgeless graph gives one
@@ -226,11 +216,11 @@ def serialize_edge_list(g):
     """
     src, dst = g.edge_endpoints
     once = src < dst
-    heads, tails, labels = src[once], dst[once], g.labels
+    heads, tails = src[once], dst[once]
     chunks = []
     for start in range(0, len(heads), SERIALIZE_CHUNK):
         stop = start + SERIALIZE_CHUNK
-        chunks.append("".join(f"{labels[u]} {labels[v]}\n" for u, v in
+        chunks.append("".join(f"{u} {v}\n" for u, v in
                               zip(heads[start:stop].tolist(), tails[start:stop].tolist())))
     return "".join(chunks) or "\n"
 

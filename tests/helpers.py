@@ -63,9 +63,8 @@ class GraphBuilder:
     def neighbors(self, u):
         return self._adj[u]
 
-    def build(self, labels=None):
-        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in self._adj)
-        return Graph(adjacency, labels=labels)
+    def build(self):
+        return Graph(tuple(tuple(sorted(nbrs)) for nbrs in self._adj))
 
 
 def rows_of(g):
@@ -83,7 +82,6 @@ def graph_from_edges(n, edges):
 def reference_parse_edge_list(text):
     """The per-node set parse that ``graph.parse_edge_list`` replaced."""
     ids = {}
-    labels = []
     adj = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -97,15 +95,14 @@ def reference_parse_edge_list(text):
             continue
         for tok in (a, b):
             if tok not in ids:
-                ids[tok] = len(labels)
-                labels.append(tok)
+                ids[tok] = len(ids)
                 adj.append(set())
         u, v = ids[a], ids[b]
         adj[u].add(v)
         adj[v].add(u)
-    if not labels:
+    if not ids:
         raise EdgeListError("no usable edges in input")
-    return Graph([sorted(nbrs) for nbrs in adj], labels=labels)
+    return Graph([sorted(nbrs) for nbrs in adj])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,11 +152,9 @@ def relabel(g, permutation):
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
     adj = [[] for _ in range(n)]
-    labels = [""] * n
     for u in range(n):
-        labels[perm[u]] = g.labels[u]
         adj[perm[u]] = sorted(perm[v] for v in g.neighbors(u))
-    return Graph(tuple(tuple(a) for a in adj), labels=tuple(labels))
+    return Graph(tuple(tuple(a) for a in adj))
 
 
 def jdm_edge_total(jdm):
@@ -657,23 +652,21 @@ def reference_gini_split_score(col, labels, n_classes):
     return best
 
 
-def reference_grow_tree(feats, labels, n_classes, config, depth, rng):
-    """CART subtree over the rows of ``feats``, splitting by boolean masks."""
+def reference_grow_tree(feats, labels, n_classes, per_split, rng):
+    """CART subtree over the rows of ``feats``, splitting by boolean masks.
+
+    Each split tries ``per_split`` features drawn from ``rng``, or all of
+    them when ``per_split`` is not below their count.
+    """
     from netfit.classify import TreeNode
 
     counts = np.bincount(labels, minlength=n_classes)
     node_counts = tuple(int(c) for c in counts)
-    n = len(labels)
-    pure = int(np.max(counts)) == n
-    if (
-        pure
-        or n < config.min_samples_split
-        or (config.max_depth is not None and depth >= config.max_depth)
-    ):
+    if int(np.max(counts)) == len(labels):
         return TreeNode(counts=node_counts)
     d = feats.shape[1]
-    if config.features_per_split is not None and config.features_per_split < d:
-        candidates = np.sort(rng.choice(d, size=config.features_per_split, replace=False))
+    if per_split < d:
+        candidates = np.sort(rng.choice(d, size=per_split, replace=False))
     else:
         candidates = np.arange(d)
     best = None
@@ -688,12 +681,12 @@ def reference_grow_tree(feats, labels, n_classes, config, depth, rng):
         return TreeNode(counts=node_counts)
     _, f, threshold = best
     mask = feats[:, f] <= threshold
-    left = reference_grow_tree(feats[mask], labels[mask], n_classes, config, depth + 1, rng)
-    right = reference_grow_tree(feats[~mask], labels[~mask], n_classes, config, depth + 1, rng)
+    left = reference_grow_tree(feats[mask], labels[mask], n_classes, per_split, rng)
+    right = reference_grow_tree(feats[~mask], labels[~mask], n_classes, per_split, rng)
     return TreeNode(counts=node_counts, feature=f, threshold=threshold, left=left, right=right)
 
 
-def reference_forest_roots(dataset, tree_config, trees, bootstrap, seed):
+def reference_forest_roots(dataset, trees, per_split, seed):
     """Root of every tree ``train_forest`` grows, by the same draws in the same order."""
     from netfit import seeds
 
@@ -701,9 +694,9 @@ def reference_forest_roots(dataset, tree_config, trees, bootstrap, seed):
     roots = []
     for i in range(trees):
         rng = np.random.default_rng(seeds.xor_index(seed, i))
-        sample = rng.integers(n, size=n) if bootstrap else np.arange(n)
+        sample = rng.integers(n, size=n)
         roots.append(reference_grow_tree(dataset.features[sample], dataset.labels[sample],
-                                         len(dataset.class_names), tree_config, 0, rng))
+                                         len(dataset.class_names), per_split, rng))
     return roots
 
 

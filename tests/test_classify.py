@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from netfit.classify import (
     ClassSupportError,
-    ForestConfig,
     LabeledDataset,
-    TreeConfig,
     _gini_split_score,
     accuracy,
     confusion_matrix,
@@ -93,8 +91,7 @@ class TestDecisionTree:
         data = dataset([[0, 0], [0, 1], [1, 0], [1, 1]], [0, 1, 1, 0])
         tree = train_tree(data)
         assert tree.predict(data.features).tolist() == [0, 1, 1, 0]
-        depth_one = train_tree(data, config=TreeConfig(max_depth=1))
-        assert depth_one.predict(data.features).tolist() != [0, 1, 1, 0]
+        assert depth(tree.root) == 2
 
     def test_training_accuracy_one_on_unique_rows(self):
         rng = np.random.default_rng(4)
@@ -110,8 +107,12 @@ class TestDecisionTree:
         counts = tree.split_feature_counts()
         assert counts[0] >= 1
         assert len(counts) == 2  # one count per feature column, split on or not
-        forest = train_forest(data, config=ForestConfig(trees=5), seed=1)
+        forest = train_forest(data, seed=1)
         assert len(forest.split_feature_counts()) == 2
+
+
+def depth(node):
+    return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
 
 
 def corpus_shaped(rng, n):
@@ -145,22 +146,12 @@ class TestGrowthMatchesReference:
         feats = make(rng, 36)
         labels = rng.integers(0, n_classes, size=36)
         data = dataset(feats, labels, class_names=[f"c{i}" for i in range(n_classes)])
-        for max_depth in (None, 1, 3):
-            for per_split in (None, 1, 2, 6):
-                tree_config = TreeConfig(max_depth=max_depth, features_per_split=per_split)
-                tree = train_tree(data, config=tree_config, seed=7)
-                ref = reference_grow_tree(feats, labels, n_classes, tree_config, 0,
-                                          np.random.default_rng(7))
-                assert_same_tree(tree.root, ref)
-                for bootstrap in (True, False):
-                    config = ForestConfig(trees=4, features_per_split=per_split,
-                                          bootstrap=bootstrap, max_depth=max_depth)
-                    forest = train_forest(data, config=config, seed=11)
-                    used = TreeConfig(max_depth=max_depth,
-                                      features_per_split=per_split or 2)  # floor(sqrt(6))
-                    refs = reference_forest_roots(data, used, 4, bootstrap, seed=11)
-                    for tree, ref in zip(forest.trees, refs, strict=True):
-                        assert_same_tree(tree.root, ref)
+        ref = reference_grow_tree(feats, labels, n_classes, 6, None)  # every feature
+        assert_same_tree(train_tree(data).root, ref)
+        forest = train_forest(data, seed=11)
+        refs = reference_forest_roots(data, 100, 2, seed=11)  # floor(sqrt(6)) per split
+        for tree, ref in zip(forest.trees, refs, strict=True):
+            assert_same_tree(tree.root, ref)
 
     def test_near_tie_keeps_first_cut(self):
         # The cuts at 1.5 and 4.5 have the same Gini, 0.4, but the later one
@@ -172,52 +163,15 @@ class TestGrowthMatchesReference:
         assert _gini_split_score(col, labels, list(range(10)), [6, 4]) == (0.4, 1.5)
 
 
-class TestConfigLimits:
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"features_per_split": 0}, "features_per_split must be at least 1, got 0"),
-        ({"features_per_split": -1}, "features_per_split must be at least 1, got -1"),
-        ({"max_depth": -1}, "max_depth must be at least 0, got -1"),
-        ({"trees": 0}, "a forest needs at least one tree"),
-    ])
-    def test_forest_config_refuses(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            ForestConfig(**kwargs)
-
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"features_per_split": 0}, "features_per_split must be at least 1, got 0"),
-        ({"max_depth": -1}, "max_depth must be at least 0, got -1"),
-        ({"min_samples_split": 1}, "min_samples_split must be at least 2, got 1"),
-    ])
-    def test_tree_config_refuses(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            TreeConfig(**kwargs)
-
-    def test_depth_zero_is_one_leaf(self):
-        data = dataset([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])
-        assert train_tree(data, config=TreeConfig(max_depth=0)).root.is_leaf
-
-    def test_reported_features_per_split_is_the_one_used(self):
-        table = build_table()
-        default = run_task(table, "subcategory", model="forest", k=5, seed=1, domain="food",
-                           forest_config=ForestConfig(trees=3))
-        assert default.hyperparameters["features_per_split"] == 2  # floor(sqrt(6))
-        three = run_task(table, "subcategory", model="forest", k=5, seed=1, domain="food",
-                         forest_config=ForestConfig(trees=3, features_per_split=3))
-        assert three.hyperparameters["features_per_split"] == 3
-        beyond = run_task(table, "subcategory", model="forest", k=5, seed=1, domain="food",
-                          forest_config=ForestConfig(trees=3, features_per_split=10))
-        assert beyond.hyperparameters["features_per_split"] == 6  # all there are
-
-
 class TestRandomForest:
     def test_separable(self):
         data = dataset([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])
-        forest = train_forest(data, config=ForestConfig(trees=25), seed=3)
+        forest = train_forest(data, seed=3)
         assert forest.predict([[0.5], [10.5]]).tolist() == [0, 1]
 
     def test_pure_labels(self):
         data = dataset([[0.0], [1.0], [2.0]], [1, 1, 1])
-        forest = train_forest(data, config=ForestConfig(trees=10), seed=1)
+        forest = train_forest(data, seed=1)
         assert forest.predict([[5.0]]).tolist() == [1]
 
     def test_deterministic_given_seed(self):
@@ -230,21 +184,9 @@ class TestRandomForest:
         assert (a.predict(feats) == b.predict(feats)).all()
         assert np.allclose(a.score(feats, positive=1), b.score(feats, positive=1))
 
-    def test_single_tree_no_bootstrap_equals_tree(self):
-        rng = np.random.default_rng(2)
-        feats = rng.normal(size=(25, 4))
-        labels = rng.integers(0, 2, size=25)
-        data = dataset(feats, labels)
-        forest = train_forest(
-            data, config=ForestConfig(trees=1, features_per_split=4, bootstrap=False), seed=5
-        )
-        tree = train_tree(data, seed=5)
-        probe = rng.normal(size=(40, 4))
-        assert (forest.predict(probe) == tree.predict(probe)).all()
-
     def test_vote_fraction_scores(self):
         data = dataset([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])
-        forest = train_forest(data, config=ForestConfig(trees=20), seed=3)
+        forest = train_forest(data, seed=3)
         scores = forest.score([[0.5], [10.5]], positive=1)
         assert scores[0] < 0.5 < scores[1]
 
@@ -305,16 +247,19 @@ class TestRocAuc:
         assert roc_auc(scores, labels) == pytest.approx(roc_auc(transformed, labels))
 
 
-def build_table(per_class=12, seed=0, encode_label=True):
-    """Table whose avg_clust column alone encodes the subcategory label."""
+def build_table(per_class=12, seed=0, encoded=(2,)):
+    """Table whose metric columns at the ``encoded`` indices encode the subcategory label.
+
+    By default the avg_clust column alone encodes it.
+    """
     rng = np.random.default_rng(seed)
     rows = []
     subcats = ("Real", "2K", "CBA", "WS", "DD", "Com")
     for c, sub in enumerate(subcats):
         for i in range(per_class):
             values = rng.uniform(0.2, 0.8, size=7)
-            if encode_label:
-                values[2] = c + rng.uniform(-0.2, 0.2)  # avg_clust encodes class
+            for j in encoded:
+                values[j] = c + rng.uniform(-0.2, 0.2)
             fv = FeatureVector(size=50, **dict(zip(METRIC_FIELDS, values)))
             rows.append(
                 DatasetRow(
@@ -333,12 +278,10 @@ class TestRunTask:
         table = build_table()
         report = run_task(table, "subcategory", model="tree", k=5, seed=1, domain="food")
         assert report.pooled_accuracy == 1.0
-        # forest: bagged full-feature trees; per-split subsampling can bury
-        # the informative column under noise splits on tiny data
-        report = run_task(
-            table, "subcategory", model="forest", k=5, seed=1, domain="food",
-            forest_config=ForestConfig(trees=50, features_per_split=6),
-        )
+        # the forest tries two random features per split, which can bury one
+        # informative column under noise splits on tiny data: encode them all
+        table = build_table(encoded=range(7))
+        report = run_task(table, "subcategory", model="forest", k=5, seed=1, domain="food")
         assert report.pooled_accuracy == 1.0
 
     def test_category_task_reports_auc(self):
@@ -347,6 +290,8 @@ class TestRunTask:
         assert report.auc is not None
         assert 0.0 <= report.auc <= 1.0
         assert report.class_names == ("model", "real")
+        assert report.hyperparameters == {"trees": 100, "features_per_split": 2,
+                                          "bootstrap": True, "max_depth": None, "folds": 5}
         total = sum(sum(row) for row in report.confusion)
         assert total == len(table.filter(domain="food", exclude_subcategories=("WS_STD",)))
 
@@ -388,14 +333,15 @@ class TestRunTask:
             run_task(build_table(), "category", model="tree", k=5, seed=0)
 
     def test_seed_determinism(self):
-        table = build_table(encode_label=False)
+        table = build_table(encoded=())
         a = run_task(table, "subcategory", model="forest", k=5, seed=9, domain="food")
         b = run_task(table, "subcategory", model="forest", k=5, seed=9, domain="food")
         assert a == b
 
     def test_pooled_and_mean_fold_both_reported(self):
-        table = build_table(encode_label=False)
+        table = build_table(encoded=())
         report = run_task(table, "subcategory", model="tree", k=5, seed=3, domain="food")
         assert 0.0 <= report.mean_fold_accuracy <= 1.0
         assert len(report.fold_accuracies) == 5
         assert report.feature_split_counts
+        assert report.hyperparameters == {"max_depth": None, "min_samples_split": 2, "folds": 5}

@@ -150,6 +150,15 @@ class TestFitGenerate:
         ) == 0
         assert out_graph.read_text().count("\n") > 0
 
+    def test_generate_out_makes_missing_directories(self, tmp_path, capsys):
+        params = tmp_path / "fit.json"
+        params.write_text('{"model": "WS", "params": {"n": 10, "K": 2, "p": 0.5}}')
+        assert main(["generate", str(params), "--seed", "3"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "new" / "dir" / "g.txt"
+        assert main(["generate", str(params), "--seed", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == printed.encode("utf-8")
+
     @pytest.mark.parametrize(
         "content,message",
         [

@@ -79,8 +79,9 @@ class TestParseEdgeList:
             parse_edge_list("3 3\n4 4")
 
     def test_first_appearance_ids(self):
+        # beta, alpha, gamma -> 0, 1, 2; sorted tokens would make alpha the hub 0
         g = parse_edge_list("beta alpha\nalpha gamma")
-        assert g.labels == ("beta", "alpha", "gamma")
+        assert list(g.edges()) == [(0, 1), (1, 2)]
 
     def test_parse_is_deterministic(self):
         text = "a b\nb c\nc d\nd a\na c"
@@ -91,19 +92,17 @@ class TestParseEdgeList:
         again = parse_edge_list(serialize_edge_list(g))
         assert sorted(degree_sequence(again)) == sorted(degree_sequence(g))
         assert again.edge_count == g.edge_count
-        # serialization emits original labels
-        assert "n4" in serialize_edge_list(g)
+        # serialization writes node ids, in id order
+        assert serialize_edge_list(g) == "0 1\n0 2\n1 2\n2 3\n"
+        assert again == g
 
     @pytest.mark.parametrize("edges", [0, 1, SERIALIZE_CHUNK - 1, SERIALIZE_CHUNK,
                                        SERIALIZE_CHUNK + 1, 2 * SERIALIZE_CHUNK + 1])
     def test_chunked_text_is_the_one_shot_join(self, edges):
-        # a path on shuffled word labels, so label order differs from id order
-        names = [f"w{i}" for i in np.random.default_rng(edges).permutation(edges + 1)]
-        if edges:
-            g = parse_edge_list("".join(f"{a} {b}\n" for a, b in zip(names, names[1:])))
-        else:
-            g = Graph([[]], labels=names)
-        one_shot = "\n".join(f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges()) + "\n"
+        # a path through the nodes in shuffled order, so edge order differs from path order
+        order = np.random.default_rng(edges).permutation(edges + 1).tolist()
+        g = graph_from_edges(edges + 1, zip(order, order[1:]))
+        one_shot = "\n".join(f"{u} {v}" for u, v in g.edges()) + "\n"
         assert serialize_edge_list(g) == one_shot
         assert one_shot.count("\n") == max(edges, 1)
 
@@ -122,13 +121,13 @@ INVALID_IDS = ["self-loop", "unsorted", "duplicate", "out-of-range", "negative",
 
 
 def _parse_outcome(parse, text):
-    """What a parse gives: (labels, degrees, src, dst) as lists, or its EdgeListError text."""
+    """What a parse gives: (degrees, src, dst) as lists, or its EdgeListError text."""
     try:
         g = parse(text)
     except EdgeListError as exc:
         return str(exc)
     src, dst = g.edge_endpoints
-    return g.labels, g.degree_array.tolist(), src.tolist(), dst.tolist()
+    return g.degree_array.tolist(), src.tolist(), dst.tolist()
 
 
 TOKENS = st.sampled_from(["a", "b", "c", "d", "7", "07", "x1", "é"])
@@ -180,7 +179,7 @@ class TestParseMatchesReference:
         text = "q q\na b\nb a\na b 2.0\nc c\n% c d\nc a\n"
         outcome = _parse_outcome(parse_edge_list, text)
         assert outcome == _parse_outcome(reference_parse_edge_list, text)
-        assert outcome[0] == ("a", "b", "c")
+        assert outcome[0] == [2, 1, 1]  # a, b, c; q is gone
 
 
 class TestGraphInvariants:
@@ -213,7 +212,7 @@ class TestGraphInvariants:
     def test_equality_reads_the_arrays_and_hashing_is_gone(self):
         g = graph_from_edges(3, [(0, 1), (1, 2)])
         assert g == parse_edge_list("0 1\n1 2\n")
-        assert g == Graph(((1,), (0, 2), (1,)), labels=("x", "y", "z"))
+        assert g == Graph(((1,), (0, 2), (1,)))
         assert g != graph_from_edges(3, [(0, 1), (0, 2)])
         assert g != graph_from_edges(4, [(0, 1), (1, 2)])
         assert g != "not a graph"
