@@ -271,6 +271,7 @@ def train_forest(dataset, seed=0):
     if len(dataset) < 2:
         raise ValueError("forest training needs at least 2 samples")
     d = dataset.features.shape[1]
+    per_split = math.isqrt(d)
     cols, labels = _columns(dataset)
     n_classes = len(dataset.class_names)
     trees = []
@@ -278,7 +279,7 @@ def train_forest(dataset, seed=0):
     for i in range(FOREST_TREES):
         rng = np.random.default_rng(seeds.xor_index(seed, i))
         sample = rng.integers(n, size=n).tolist()
-        root = _grow_tree(cols, labels, sample, n_classes, math.isqrt(d), rng)
+        root = _grow_tree(cols, labels, sample, n_classes, per_split, rng)
         trees.append(TreeModel(root=root, n_classes=n_classes, n_features=d))
     return ForestModel(trees=tuple(trees), n_classes=n_classes, seed=seed)
 
