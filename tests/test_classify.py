@@ -1,9 +1,14 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netfit.classify import (
+    FOREST_TREES,
+    HYPERPARAMETERS,
     ClassSupportError,
     LabeledDataset,
     _gini_split_score,
@@ -161,6 +166,57 @@ class TestGrowthMatchesReference:
         later = (5 * (1.0 - 17 / 25) + 5 * (1.0 - 13 / 25)) / 10
         assert 0.0 < 0.4 - later < 1e-12
         assert _gini_split_score(col, labels, list(range(10)), [6, 4]) == (0.4, 1.5)
+
+
+class TestFixedSettings:
+    def test_forest_grows_forest_trees_trees(self):
+        data = dataset([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])
+        assert FOREST_TREES == 100
+        assert len(train_forest(data, seed=2).trees) == FOREST_TREES
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 9])
+    def test_forest_tries_floor_sqrt_d_features_per_split(self, d):
+        rng = np.random.default_rng(d)
+        feats = rng.normal(size=(16, d))
+        labels = rng.integers(0, 2, size=16)
+        data = dataset(feats, labels)
+        forest = train_forest(data, seed=4)
+        refs = reference_forest_roots(data, FOREST_TREES, math.isqrt(d), seed=4)
+        for tree, ref in zip(forest.trees, refs, strict=True):
+            assert_same_tree(tree.root, ref)
+
+    def test_tree_has_no_depth_limit(self):
+        # alternating labels on one feature: only a leaf per row separates them
+        data = dataset([[float(i)] for i in range(16)], [i % 2 for i in range(16)])
+        tree = train_tree(data)
+        assert tree.predict(data.features).tolist() == data.labels.tolist()
+        assert sum(tree.split_feature_counts()) == 15
+        assert depth(tree.root) >= 4
+
+    def test_two_rows_of_two_classes_split(self):
+        # min_samples_split is 2: the smallest impure node still splits
+        tree = train_tree(dataset([[0.0], [1.0]], [0, 1]))
+        assert not tree.root.is_leaf
+        assert tree.root.threshold == 0.5
+        assert (tree.root.left.counts, tree.root.right.counts) == ((1, 0), (0, 1))
+
+    @pytest.mark.parametrize("model,task,k,expected", [
+        ("tree", "category", 3,
+         '{"max_depth": null, "min_samples_split": 2, "folds": 3}'),
+        ("tree", "subcategory", 4,
+         '{"max_depth": null, "min_samples_split": 2, "folds": 4}'),
+        ("forest", "category", 3,
+         '{"trees": 100, "features_per_split": 2, "bootstrap": true, "max_depth": null, '
+         '"folds": 3}'),
+        ("forest", "subcategory", 4,
+         '{"trees": 100, "features_per_split": 2, "bootstrap": true, "max_depth": null, '
+         '"folds": 4}'),
+    ], ids=["tree-category", "tree-subcategory", "forest-category", "forest-subcategory"])
+    def test_eval_json_hyperparameters(self, model, task, k, expected):
+        table = build_table(per_class=4)
+        report = run_task(table, task, model=model, k=k, seed=0, domain="food")
+        assert json.dumps(report.to_json_obj()["hyperparameters"]) == expected
+        assert "folds" not in HYPERPARAMETERS[model]  # each report gets its own copy
 
 
 class TestRandomForest:
