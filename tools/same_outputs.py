@@ -9,8 +9,8 @@ on the same inputs (this checkout's bundled corpus):
 - ``gof`` on the pipeline's dataset;
 - ``classify`` for the three tasks with both tree and forest;
 - ``stability`` on one corpus graph;
-- ``fit --model all``, then ``generate`` from every report and one
-  ``measure`` over the generated graphs;
+- ``fit --model all``, then ``generate`` from each of its six reports
+  and one ``measure`` over the generated graphs;
 - ``generate --seed 7`` of a CBA graph at n = 1000 from a fit JSON the
   tool writes (m = 5, p = 0.005), then on that graph ``fit --model CBA``
   and ``stability --replicates 10 --fit-replicates 2``.
@@ -29,8 +29,9 @@ or when a command of this checkout exits non-zero; 2 when git cannot
 export the ref.
 
 The digest steps of the same command set (``pipeline --jobs 1``,
-``gof``, the three ``classify`` tasks with both models, ``stability``
-and ``fit --model all``) are pinned in
+``gof``, the three ``classify`` tasks with both models, ``stability``,
+``fit --model all`` and the ``generate`` and ``measure`` that follow
+it) are pinned in
 ``tests/data/output_digests.json``: one SHA-256 per output file, with
 the numpy version that wrote them. A tier-1 test reruns those steps
 in-process and names every file that differs. A change that alters
@@ -57,11 +58,14 @@ GRAPH = CORPUS / "brain_04.txt"
 CBA_FIT = {"model": "CBA", "params": {"n": 1000, "m": 5, "p": 0.005}}
 CBA_FIT_FILE = "cba_n1000.json"  # written into each output tree by run()
 DIGESTS = ROOT / "tests" / "data" / "output_digests.json"
+# the reports ``fit GRAPH --model all`` writes, one per model, in name order
+FIT_REPORTS = tuple(sorted(f"{GRAPH.stem}_{model}"
+                           for model in ("WS", "WS_STD", "CBA", "DD", "Com", "2K")))
 # the steps of command_set() whose outputs the digest file pins
 DIGEST_STEPS = ("pipeline_jobs1", "gof",
                 *(f"classify_{task}_{model}" for task in ("domain", "category", "subcategory")
                   for model in ("tree", "forest")),
-                "stability", "fit")
+                "stability", "fit", *(f"generate_{stem}" for stem in FIT_REPORTS), "measure")
 
 
 def command_set():
@@ -80,6 +84,11 @@ def command_set():
                            "--model", model, "--seed", SEED, "--out", "classify"]))
     steps.append(("stability", ["stability", GRAPH, "--seed", SEED, "--out", "stability"]))
     steps.append(("fit", ["fit", GRAPH, "--model", "all", "--seed", SEED, "--out", "fit"]))
+    for stem in FIT_REPORTS:
+        steps.append((f"generate_{stem}", ["generate", f"fit/{stem}.json", "--seed", SEED,
+                                           "--out", f"generate/{stem}.txt"]))
+    steps.append(("measure", ["measure", *(f"generate/{stem}.txt" for stem in FIT_REPORTS),
+                              "--out", "measure.csv"]))
     steps += [
         ("generate_cba_n1000", ["generate", CBA_FIT_FILE, "--seed", SEED,
                                 "--out", "cba_n1000.txt"]),
@@ -115,13 +124,6 @@ def run(src, out_dir):
     for name, args in command_set():
         print(f"  {name}", flush=True)
         netfit(name, args)
-    reports = sorted(p.name for p in (out_dir / "fit").glob("*.json"))
-    for report in reports:
-        stem = report.removesuffix(".json")
-        netfit(f"generate_{stem}", ["generate", f"fit/{report}", "--seed", SEED,
-                                    "--out", f"generate/{stem}.txt"])
-    netfit("measure", ["measure", *(f"generate/{r.removesuffix('.json')}.txt" for r in reports),
-                       "--out", "measure.csv"])
     return failed
 
 
