@@ -2,12 +2,15 @@
 
 Two models at fixed settings: one CART tree with Gini impurity that
 tries every feature at every split, and a forest of 100 bootstrap trees
-that each try floor(sqrt(d)) random features per split. Trees grow over
-plain lists of row indices until a node is pure or no cut separates its
-rows; cuts are at midpoints between distinct values and keep the first
-optimum within 1e-12. Evaluation is stratified k-fold with pooled
-predictions; multi-class tasks report accuracy plus the confusion
-matrix, the binary real-vs-model task reports AUC.
+that each try floor(sqrt(d)) random features per split. A forest tree
+draws its bootstrap and its features from one :class:`seeds.Draws`, as
+numpy's ``integers`` and ``choice`` would, and keeps the bootstrap as
+row multiplicities. Trees grow over distinct row indices weighted by
+those counts until a node is pure or no cut separates its rows; cuts are
+at midpoints between distinct values and keep the first optimum within
+1e-12. Evaluation is stratified k-fold with pooled predictions;
+multi-class tasks report accuracy plus the confusion matrix, the binary
+real-vs-model task reports AUC.
 
 Explanatory variables are the six topological metrics (assortativity,
 clustering, average degree, max eigenvector centrality, path length,
@@ -104,7 +107,7 @@ def stratified_kfold(labels, k, seed=0):
 # CART decision tree
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TreeNode:
     counts: tuple  # class counts at this node
     feature: int = -1  # -1 marks a leaf
@@ -117,67 +120,64 @@ class TreeNode:
         return self.feature < 0
 
 
-def _gini_split_score(col, labels, rows, counts):
+def _gini_split_score(col, labels, weights, rows, counts):
     """Best (weighted Gini, threshold) for one feature column over ``rows``, or None.
 
-    Thresholds are midpoints between consecutive distinct sorted values;
-    the scan keeps the first (smallest-threshold) optimum. Sums of squared
-    class counts are exact integers, as a float dot product of counts gives.
+    Row r stands for ``weights[r]`` samples; ``counts`` are the node's
+    weighted class counts. Thresholds are midpoints between consecutive
+    distinct sorted values; the scan keeps the first (smallest-threshold)
+    optimum. All counts are exact integers, at each cut the same as over
+    the rows repeated by their weights.
     """
     order = sorted(rows, key=col.__getitem__)
-    values = [col[r] for r in order]
-    n = len(order)
+    n = sum(counts)
     left = [0] * len(counts)
-    right = list(counts)
-    sq_l, sq_r = 0, sum(c * c for c in counts)
+    nl, sq_l, sq_r = 0, 0, sum([c * c for c in counts])
     best = None
-    for nl in range(1, n):
-        c = labels[order[nl - 1]]
-        sq_l += 2 * left[c] + 1
-        sq_r -= 2 * right[c] - 1
-        left[c] += 1
-        right[c] -= 1
-        if values[nl] <= values[nl - 1]:
-            continue
-        nr = n - nl
-        score = (nl * (1.0 - sq_l / (nl * nl)) + nr * (1.0 - sq_r / (nr * nr))) / n
-        if best is None or score < best[0] - 1e-12:
-            best = (score, (values[nl - 1] + values[nl]) / 2.0)
+    prev = col[order[0]]
+    for r in order:
+        v = col[r]
+        if v > prev:  # a cut between prev and v, with the rows before r on its left
+            nr = n - nl
+            score = (nl * (1.0 - sq_l / (nl * nl)) + nr * (1.0 - sq_r / (nr * nr))) / n
+            if best is None or score < best[0] - 1e-12:
+                best = (score, (prev + v) / 2.0)
+        prev = v
+        c, w = labels[r], weights[r]
+        lc = left[c]  # the other counts[c] - lc of class c lie on the right
+        sq_l += w * (2 * lc + w)
+        sq_r -= w * (2 * (counts[c] - lc) - w)
+        left[c] = lc + w
+        nl += w
     return best
 
 
-def _grow_tree(cols, labels, rows, n_classes, per_split, rng):
-    """CART subtree over ``rows``, indices into the feature lists ``cols`` and ``labels``.
+def _grow_tree(cols, labels, weights, rows, n_classes, per_split, draws):
+    """CART subtree over the distinct ``rows``, indices into ``cols``, ``labels`` and ``weights``.
 
-    Each split tries ``per_split`` features drawn from ``rng``, or all of
-    them when ``per_split`` is not below their count (``rng`` unused).
+    Each split tries ``per_split`` features from ``draws.choice``, or all
+    of them when ``per_split`` is not below their count (``draws`` unused).
     """
     counts = [0] * n_classes
     for r in rows:
-        counts[labels[r]] += 1
-    if max(counts) == len(rows):  # pure; a cut never leaves a side empty
+        counts[labels[r]] += weights[r]
+    if max(counts) == sum(counts):  # pure; a cut never leaves a side empty
         return TreeNode(counts=tuple(counts))
     d = len(cols)
-    if per_split < d:
-        candidates = np.sort(rng.choice(d, size=per_split, replace=False)).tolist()
-    else:
-        candidates = range(d)
+    candidates = sorted(draws.choice(d, per_split)) if per_split < d else range(d)
     best = None
     for f in candidates:
-        scored = _gini_split_score(cols[f], labels, rows, counts)
-        if scored is None:
-            continue
-        score, threshold = scored
-        if best is None or score < best[0] - 1e-12:
-            best = (score, f, threshold)
+        scored = _gini_split_score(cols[f], labels, weights, rows, counts)
+        if scored is not None and (best is None or scored[0] < best[0] - 1e-12):
+            best = (scored[0], f, scored[1])
     if best is None:
         return TreeNode(counts=tuple(counts))  # no feature separates the rows
     _, f, threshold = best
     col = cols[f]
     below = [r for r in rows if col[r] <= threshold]
     above = [r for r in rows if col[r] > threshold]
-    left = _grow_tree(cols, labels, below, n_classes, per_split, rng)
-    right = _grow_tree(cols, labels, above, n_classes, per_split, rng)
+    left = _grow_tree(cols, labels, weights, below, n_classes, per_split, draws)
+    right = _grow_tree(cols, labels, weights, above, n_classes, per_split, draws)
     return TreeNode(counts=tuple(counts), feature=f, threshold=threshold, left=left, right=right)
 
 
@@ -189,33 +189,30 @@ class TreeModel:
 
     def _leaf_counts(self, row):
         node = self.root
-        while not node.is_leaf:
+        while node.feature >= 0:
             node = node.left if row[node.feature] <= node.threshold else node.right
         return node.counts
 
-    def predict(self, rows):
+    def _leaves(self, rows):
         rows = np.atleast_2d(np.asarray(rows, dtype=float)).tolist()
-        leaves = [self._leaf_counts(r) for r in rows]
-        return np.array([c.index(max(c)) for c in leaves], dtype=np.int64)
+        return [self._leaf_counts(r) for r in rows]
+
+    def predict(self, rows):
+        return np.array([c.index(max(c)) for c in self._leaves(rows)], dtype=np.int64)
 
     def score(self, rows, positive=1):
         """Per-row fraction of the leaf's samples in the positive class."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float)).tolist()
-        leaves = [self._leaf_counts(r) for r in rows]
-        return np.array([c[positive] / sum(c) if sum(c) else 0.0 for c in leaves])
+        return np.array([c[positive] / sum(c) for c in self._leaves(rows)])
 
     def split_feature_counts(self):
         """Number of splits on each feature column, length ``n_features``."""
         counts = [0] * self.n_features
-
-        def walk(node):
-            if node.is_leaf:
-                return
-            counts[node.feature] += 1
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.root)
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.feature >= 0:
+                counts[node.feature] += 1
+                stack += (node.left, node.right)
         return tuple(counts)
 
 
@@ -226,12 +223,12 @@ def _columns(dataset):
 
 def train_tree(dataset):
     """Greedy CART on the full dataset, trying every feature at every split."""
-    if len(dataset) < 1:
+    n = len(dataset)
+    if n < 1:
         raise ValueError("cannot train on an empty dataset")
     cols, labels = _columns(dataset)
-    n_classes = len(dataset.class_names)
-    d = dataset.features.shape[1]
-    root = _grow_tree(cols, labels, list(range(len(dataset))), n_classes, d, None)
+    n_classes, d = len(dataset.class_names), len(cols)
+    root = _grow_tree(cols, labels, [1] * n, list(range(n)), n_classes, d, None)
     return TreeModel(root=root, n_classes=n_classes, n_features=d)
 
 
@@ -268,18 +265,20 @@ class ForestModel:
 
 def train_forest(dataset, seed=0):
     """FOREST_TREES bootstrap CART trees, floor(sqrt(d)) random features tried per split."""
-    if len(dataset) < 2:
-        raise ValueError("forest training needs at least 2 samples")
-    d = dataset.features.shape[1]
-    per_split = math.isqrt(d)
-    cols, labels = _columns(dataset)
-    n_classes = len(dataset.class_names)
-    trees = []
     n = len(dataset)
+    if n < 2:
+        raise ValueError("forest training needs at least 2 samples")
+    cols, labels = _columns(dataset)
+    n_classes, d = len(dataset.class_names), len(cols)
+    per_split = math.isqrt(d)
+    trees = []
     for i in range(FOREST_TREES):
-        rng = np.random.default_rng(seeds.xor_index(seed, i))
-        sample = rng.integers(n, size=n).tolist()
-        root = _grow_tree(cols, labels, sample, n_classes, per_split, rng)
+        draws = seeds.Draws(seeds.xor_index(seed, i))
+        weights = [0] * n  # the bootstrap, numpy's integers(n, size=n), as multiplicities
+        for _ in range(n):
+            weights[draws.integers(n)] += 1
+        rows = [r for r in range(n) if weights[r]]
+        root = _grow_tree(cols, labels, weights, rows, n_classes, per_split, draws)
         trees.append(TreeModel(root=root, n_classes=n_classes, n_features=d))
     return ForestModel(trees=tuple(trees), n_classes=n_classes, seed=seed)
 

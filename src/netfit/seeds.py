@@ -4,7 +4,8 @@ Two seed patterns: ``xor_index`` for replicate batches (master XOR
 replicate index) and ``derive`` for mixing string context (graph names,
 model names) into a master seed so results never depend on job
 scheduling. :class:`Draws` gives the raw words of numpy's scalar
-``random()`` and its ``integers(n)`` results without numpy's per-call
+``random()``, its ``integers(n)`` results and its
+``choice(d, size=k, replace=False)`` samples without numpy's per-call
 cost, and :func:`coin_limit` is the raw-word bound that a coin of
 probability p compares against.
 """
@@ -48,6 +49,7 @@ def coin_limit(p):
 
 _DRAWS_BLOCK = 256  # raw words read from the bit generator at a time
 _LOW32 = (1 << 32) - 1
+_CHOICE_MAX = 10_000  # above this population numpy may sample by a partial shuffle
 
 
 class Draws:
@@ -66,12 +68,13 @@ class Draws:
     the low half of a raw word first and its high half kept for the next
     try (PCG64's ``next_uint32``), then Lemire's multiply-and-reject.
     ``word()`` takes a whole raw word and leaves a kept half in place.
+    ``choice(d, k)`` is built on ``integers`` alone.
     """
 
     __slots__ = ("word", "_half")
 
     def __init__(self, seed):
-        bitgen = np.random.default_rng(seed).bit_generator
+        bitgen = np.random.PCG64(seed)  # the bit generator of default_rng(seed)
         # the raw 64-bit word of one ``random()``: that value is ``(word >> 11) * 2**-53``
         self.word = chain.from_iterable(
             bitgen.random_raw(_DRAWS_BLOCK).tolist() for _ in repeat(None)).__next__
@@ -108,3 +111,22 @@ class Draws:
             while m & _LOW32 < threshold:
                 m = self._uint32() * n
         return m >> 32
+
+    def choice(self, d, k):
+        """k distinct ints from range(d), as ``Generator.choice(d, size=k, replace=False)``.
+
+        numpy's algorithm for d <= 10 000: Floyd's sampling, one
+        ``integers(j + 1)`` for each j in d-k..d-1 that keeps its draw
+        unless already taken and j otherwise, then a Fisher-Yates pass
+        over the k picks with one ``integers(i + 1)`` for i = k-1..1.
+        """
+        if not 0 <= k <= d <= _CHOICE_MAX:
+            raise ValueError(f"choice(d, k) needs 0 <= k <= d <= {_CHOICE_MAX}, got {d}, {k}")
+        out = []
+        for j in range(d - k, d):
+            v = self.integers(j + 1)
+            out.append(j if v in out else v)
+        for i in range(k - 1, 0, -1):
+            j = self.integers(i + 1)
+            out[i], out[j] = out[j], out[i]
+        return out

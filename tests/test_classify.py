@@ -23,7 +23,7 @@ from netfit.classify import (
 from netfit.dataset import DatasetRow, DatasetTable
 from netfit.metrics import METRIC_FIELDS, FeatureVector
 
-from helpers import reference_forest_roots, reference_grow_tree
+from helpers import reference_forest_roots, reference_gini_split_score, reference_grow_tree
 
 
 def dataset(features, labels, class_names=("a", "b")):
@@ -158,6 +158,19 @@ class TestGrowthMatchesReference:
         for tree, ref in zip(forest.trees, refs, strict=True):
             assert_same_tree(tree.root, ref)
 
+    def test_paper_sized_forest(self):
+        # a few hundred rows with heavy ties and repeated rows, so bootstrap
+        # weights above 2 are common and many nodes hold duplicates
+        rng = np.random.default_rng(23)
+        copies = rng.integers(120, size=320)  # each of 120 rows about 2.7 times
+        feats = many_ties(rng, 120)[copies]
+        labels = rng.integers(0, 6, size=120)[copies]
+        data = dataset(feats, labels, class_names=[f"c{i}" for i in range(6)])
+        forest = train_forest(data, seed=61)
+        refs = reference_forest_roots(data, FOREST_TREES, 2, seed=61)
+        for tree, ref in zip(forest.trees, refs, strict=True):
+            assert_same_tree(tree.root, ref)
+
     def test_near_tie_keeps_first_cut(self):
         # The cuts at 1.5 and 4.5 have the same Gini, 0.4, but the later one
         # rounds one ulp lower; within 1e-12 the first cut stays the optimum.
@@ -165,7 +178,47 @@ class TestGrowthMatchesReference:
         labels = [0, 0, 1, 0, 0, 1, 1, 0, 0, 1]
         later = (5 * (1.0 - 17 / 25) + 5 * (1.0 - 13 / 25)) / 10
         assert 0.0 < 0.4 - later < 1e-12
-        assert _gini_split_score(col, labels, list(range(10)), [6, 4]) == (0.4, 1.5)
+        assert _gini_split_score(col, labels, [1] * 10, list(range(10)), [6, 4]) == (0.4, 1.5)
+
+    def test_near_tie_over_repeated_rows_keeps_first_cut(self):
+        # The same rows weighted 1-3: the cuts at 4.5 and 8.5 both score 5/12
+        # exactly, and the later one rounds one ulp lower.
+        col = [float(v) for v in range(10)]
+        labels = [0, 0, 1, 0, 0, 1, 1, 0, 0, 1]
+        weights = [1, 1, 1, 1, 2, 2, 3, 2, 3, 2]
+        first = (6 * (1.0 - 26 / 36) + 12 * (1.0 - 74 / 144)) / 18
+        later = (16 * (1.0 - 136 / 256) + 2 * (1.0 - 4 / 4)) / 18
+        assert 0.0 < first - later < 1e-12
+        scored = _gini_split_score(col, labels, weights, list(range(10)), [10, 8])
+        assert scored == (first, 4.5)
+        expanded = np.repeat(np.arange(10), weights)
+        assert scored == reference_gini_split_score(np.repeat(col, weights),
+                                                    np.array(labels)[expanded], 2)
+
+    @given(st.lists(st.tuples(st.one_of(st.integers(0, 3).map(float),
+                                        st.floats(-1e6, 1e6, allow_nan=False)),
+                              st.integers(0, 3), st.integers(1, 5)),
+                    min_size=1, max_size=40),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_weighted_rows_score_as_repeated_rows(self, rows, chooser):
+        # distinct rows with multiplicities, in any order and among rows the
+        # node does not hold, give the bits of the scan over the repeated rows
+        col = [v for v, _, _ in rows] + [0.5, 2.0]
+        labels = [c for _, c, _ in rows] + [0, 3]
+        weights = [w for _, _, w in rows] + [4, 1]
+        held = list(range(len(rows)))
+        chooser.shuffle(held)
+        counts = [0] * 4
+        for r in held:
+            counts[labels[r]] += weights[r]
+        got = _gini_split_score(col, labels, weights, held, counts)
+        expanded = np.repeat(np.arange(len(rows)), weights[:len(rows)])
+        ref = reference_gini_split_score(np.array(col)[expanded], np.array(labels)[expanded], 4)
+        if ref is None:
+            assert got is None
+        else:
+            assert (got[0].hex(), got[1].hex()) == (ref[0].hex(), float(ref[1]).hex())
 
 
 class TestFixedSettings:

@@ -73,3 +73,46 @@ class TestDraws:
     def test_bounds_out_of_range_refused(self, n):
         with pytest.raises(ValueError, match="1 <= n <= 2\\*\\*32"):
             Draws(0).integers(n)
+
+
+class TestChoice:
+    """``Draws.choice(d, k)`` is ``Generator.choice(d, size=k, replace=False)``, call for call."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3, 2**63 - 1])
+    def test_interleaved_stream_matches_numpy(self, seed):
+        # a forest tree's order first: a bootstrap, then one choice per node;
+        # then any d and k, with integers and word between them, across refills
+        chooser = random.Random(seed)
+        draws, rng = Draws(seed), np.random.default_rng(seed)
+        n = chooser.randrange(1, 500)
+        assert [draws.integers(n) for _ in range(n)] == rng.integers(n, size=n).tolist()
+        for _ in range(400):
+            d = chooser.choice((1, 2, 6, 6, 50, 10_000, chooser.randrange(1, 10_001)))
+            k = chooser.choice((0, 1, min(d, 64), chooser.randrange(0, min(d, 300) + 1)))
+            assert draws.choice(d, k) == rng.choice(d, size=k, replace=False).tolist(), (d, k)
+            if chooser.random() < 0.5:
+                m = chooser.randrange(1, 1000)
+                assert draws.integers(m) == int(rng.integers(m))
+            if chooser.random() < 0.3:
+                assert_same_bits((draws.word() >> 11) * 2.0**-53, rng.random())
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 64, 1000])
+    def test_every_k_of_one_population(self, d):
+        # k close to d makes Floyd's draws collide often, so j replaces them
+        draws, rng = Draws(d), np.random.default_rng(d)
+        for k in range(d + 1) if d <= 64 else (0, 1, 2, d // 2, d - 2, d - 1, d):
+            got = draws.choice(d, k)
+            assert got == rng.choice(d, size=k, replace=False).tolist(), (d, k)
+            assert sorted(set(got)) == sorted(got) and all(0 <= x < d for x in got)
+
+    def test_largest_population_whole_sample(self):
+        draws, rng = Draws(8), np.random.default_rng(8)
+        assert draws.choice(10_000, 10_000) == rng.choice(10_000, size=10_000,
+                                                          replace=False).tolist()
+        assert draws.integers(10) == int(rng.integers(10))
+
+    @pytest.mark.parametrize("d,k", [(10_001, 1), (10_001, 0), (2**32, 2), (3, 4), (0, 1),
+                                     (5, -1)])
+    def test_out_of_range_refused(self, d, k):
+        with pytest.raises(ValueError, match="0 <= k <= d <= 10000"):
+            Draws(0).choice(d, k)

@@ -52,6 +52,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from netfit.fitting import MODELS  # noqa: E402
+
 CORPUS = ROOT / "src" / "netfit" / "data" / "corpus"
 SEED = "7"
 GRAPH = CORPUS / "brain_04.txt"
@@ -59,8 +63,7 @@ CBA_FIT = {"model": "CBA", "params": {"n": 1000, "m": 5, "p": 0.005}}
 CBA_FIT_FILE = "cba_n1000.json"  # written into each output tree by run()
 DIGESTS = ROOT / "tests" / "data" / "output_digests.json"
 # the reports ``fit GRAPH --model all`` writes, one per model, in name order
-FIT_REPORTS = tuple(sorted(f"{GRAPH.stem}_{model}"
-                           for model in ("WS", "WS_STD", "CBA", "DD", "Com", "2K")))
+FIT_REPORTS = tuple(sorted(f"{GRAPH.stem}_{spec.name}" for spec in MODELS))
 # the steps of command_set() whose outputs the digest file pins
 DIGEST_STEPS = ("pipeline_jobs1", "gof",
                 *(f"classify_{task}_{model}" for task in ("domain", "category", "subcategory")
@@ -217,7 +220,6 @@ def main(argv):
         print("usage: same_outputs.py <git-ref> | --write-digests", file=sys.stderr)
         return 2
     if argv == ["--write-digests"]:
-        sys.path.insert(0, str(ROOT / "src"))
         write_digests()
         return 0
     ref = argv[0]
