@@ -2,19 +2,19 @@
 
 Closed-form parameters (sizes, degree-derived integers, community edge
 densities, the joint degree matrix) are computed directly. The remaining
-free probability p of WS, CBA and DD is the root of the signed gap
-between the model's designated metric (clustering, degree std for
-WS_STD, clustering, density) and the target's, each of which is
-monotone in p. The metric is smoothed by averaging a fixed number of
-generation replicates whose seeds are the same at every candidate
-(common random numbers), so the gap moves smoothly with p. The search
-grows a bracket upward from the lower bound of p's range in doubling
-steps until the gap changes sign, then bisects it until it is at most
-1e-4 wide (in log10 p for WS). A zero gap counts as past the root. When
-no sign change occurs in the range, the fit is the bound reached, with
-a note. The budget caps the number of distinct candidates; the report
-gives the evaluated candidate with the smallest gap, ties toward the
-smaller p.
+free probability p of WS, CBA and DD is the root of the gap between the
+model's designated metric (clustering, degree std for WS_STD,
+clustering, density) and the target's, signed to rise with p: each
+metric is monotone in p. The metric is smoothed by averaging a fixed
+number of generation replicates whose seeds are the same at every
+candidate (common random numbers), so the gap moves smoothly with p.
+The search asks only for the gap at a candidate. It grows a bracket
+upward from the lower bound of p's range in doubling steps until the
+gap changes sign, then bisects it until it is at most 1e-4 wide (in
+log10 p for WS). A zero gap counts as past the root. When no sign
+change occurs in the range, the fit is the bound reached, with a note.
+The budget caps the number of distinct candidates; the report gives the
+evaluated candidate with the smallest gap, ties toward the smaller p.
 
 A simulation measures the per-node rows that the model's row builder
 (``generators.ws_rows``, ``cba_rows``, ``dd_rows``) returns and builds
@@ -27,10 +27,10 @@ builder also returns the interval ``(below, above)`` of limits over
 which every coin it compared falls the same way, so at a candidate
 whose limit L has ``below < L <= above`` that replicate would draw the
 same words and build the same rows. A fit keeps each build's interval
-and measured value per replicate seed and replays the value there
-instead of building again. The candidates, the gaps and every report
-field but ``builds`` (the row builds actually run) are what building
-every replicate would give.
+and measured value per replicate and replays the value there instead of
+building again. The candidates, the gaps and every report field but
+``builds`` (the row builds actually run) are what building every
+replicate would give.
 
 Community detection for the community-structure model is the built-in
 multi-level modularity optimizer (:func:`louvain`).
@@ -98,7 +98,7 @@ class FitReport:
 
 
 # ---------------------------------------------------------------------------
-# Smoothed scalar search
+# Root search over a rising gap
 
 # The first bracket step, as a share of the search range; each later step doubles.
 FIRST_STEP = 1.0 / 4
@@ -106,27 +106,15 @@ FIRST_STEP = 1.0 / 4
 TOLERANCE = 1e-4
 
 
-def smoothed_value(simulate, q, replicates, master):
-    """Mean of ``replicates`` simulations at q.
+def _search(gap_at, lo, hi, budget, log_space=False):
+    """Root of ``gap_at(q)``, which rises with q, for q in [lo, hi].
 
-    Replicate r has seed ``seeds.derive(master, r)`` at every candidate.
-    """
-    acc = 0.0
-    for r in range(replicates):
-        acc += simulate(q, seeds.derive(master, r))
-    return acc / replicates
-
-
-def _search(simulate, target, rises, lo, hi, budget, replicates, seed, log_space=False):
-    """Root of the smoothed gap ``smoothed(q) - target`` for q in [lo, hi].
-
-    The metric rises with q when ``rises`` is true and falls otherwise.
     Returns (q, |gap| at q, evaluations, notes). At most ``budget``
-    distinct candidates are evaluated.
+    distinct candidates are evaluated, each once.
     """
     to_q = (lambda x: 10.0**x) if log_space else (lambda x: x)
     a, b = (math.log10(lo), math.log10(hi)) if log_space else (lo, hi)
-    gaps = {}  # candidate q -> smoothed(q) - target
+    gaps = {}  # candidate q -> gap_at(q), in evaluation order
 
     def past_root(x):
         """Whether x is at or past the root (a zero gap counts); None once over budget."""
@@ -134,8 +122,8 @@ def _search(simulate, target, rises, lo, hi, budget, replicates, seed, log_space
         if q not in gaps:
             if len(gaps) >= budget:
                 return None
-            gaps[q] = smoothed_value(simulate, q, replicates, seed) - target
-        return bool((gaps[q] if rises else -gaps[q]) >= 0)
+            gaps[q] = gap_at(q)
+        return bool(gaps[q] >= 0)
 
     # grow a bracket upward from the lower bound
     below, x, step = None, a, (b - a) * FIRST_STEP
@@ -199,23 +187,29 @@ def _fit_searched(model, params_at, build, measure, target, rises, lo, hi, budge
 
     ``params_at(q)`` is the model's params at candidate q and ``build``
     its row builder, which returns (rows, interval); the metric rises
-    with p when ``rises`` is true.
+    with p when ``rises`` is true. Replicate r has seed
+    ``seeds.derive(seed, r)`` at every candidate.
     """
-    built = {}  # replicate seed -> [(below, above, measured value)], one per build
+    replicate_seeds = [seeds.derive(seed, r) for r in range(replicates)]
+    built = [[] for _ in replicate_seeds]  # per replicate: [(below, above, value)], one per build
 
-    def simulate(q, s):
+    def gap_at(q):
         limit = seeds.coin_limit(q)
-        runs = built.setdefault(s, [])
-        for below, above, value in runs:
-            if below < limit <= above:  # every coin falls as in that build
-                return value
-        rows, (below, above) = build(params_at(q), s)
-        value = measure(rows)
-        runs.append((below, above, value))
-        return value
+        acc = 0.0
+        for s, runs in zip(replicate_seeds, built):
+            for below, above, value in runs:
+                if below < limit <= above:  # every coin falls as in that build
+                    break
+            else:
+                rows, (below, above) = build(params_at(q), s)
+                value = measure(rows)
+                del rows  # so the next replicate's build does not hold two row sets at once
+                runs.append((below, above, value))
+            acc += value
+        mean = acc / replicates
+        return mean - target if rises else target - mean
 
-    q, objective, evaluations, bound_notes = _search(
-        simulate, target, rises, lo, hi, budget, replicates, seed, log_space=log_space)
+    q, objective, evaluations, bound_notes = _search(gap_at, lo, hi, budget, log_space)
     return FitReport(
         model=model,
         params=params_at(q),
@@ -224,7 +218,7 @@ def _fit_searched(model, params_at, build, measure, target, rises, lo, hi, budge
         replicates_per_eval=replicates,
         seed=seed,
         notes=notes + bound_notes,
-        builds=sum(map(len, built.values())),
+        builds=sum(map(len, built)),
     )
 
 

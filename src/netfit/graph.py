@@ -247,8 +247,3 @@ def load_edge_list(path):
             utf8_text(path, lambda line: EdgeListError(f"line {line}: not UTF-8 text")))
     except EdgeListError as exc:
         raise EdgeListError(f"{path}: {exc}") from None
-
-
-def save_edge_list(g, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_edge_list(g))

@@ -555,19 +555,24 @@ def reference_simulate(model, params):
 
 def reference_fit_searched(model, params_at, build, measure, target, rises, lo, hi, budget,
                            replicates, seed, notes=(), log_space=False):
-    """``fitting._fit_searched`` without replays: every simulation runs the row builder.
+    """``fitting._fit_searched`` without replays: every replicate runs the row builder.
 
     Takes the same arguments; the report's ``builds`` is therefore
-    evaluations * replicates.
+    evaluations * replicates. The gap is the mean less the target,
+    negated when the metric falls with p.
     """
     from netfit.fitting import FitReport, _search
+    from netfit.seeds import derive
 
-    def simulate(q, s):
-        rows, _ = build(params_at(q), s)
-        return measure(rows)
+    def gap_at(q):
+        acc = 0.0
+        for r in range(replicates):
+            rows, _ = build(params_at(q), derive(seed, r))
+            acc += measure(rows)
+        gap = acc / replicates - target
+        return gap if rises else -gap
 
-    q, objective, evaluations, bound_notes = _search(
-        simulate, target, rises, lo, hi, budget, replicates, seed, log_space=log_space)
+    q, objective, evaluations, bound_notes = _search(gap_at, lo, hi, budget, log_space)
     return FitReport(model, params_at(q), objective, evaluations, replicates, seed,
                      notes + bound_notes, builds=evaluations * replicates)
 

@@ -27,7 +27,6 @@ from netfit.fitting import (
     model_spec,
     modularity,
     params_from_json_obj,
-    smoothed_value,
     ws_base_params,
 )
 from netfit.dataset import SUBCATEGORIES
@@ -132,9 +131,8 @@ class TestFitWS:
     def test_search_never_evaluates_below_bound(self, draws):
         g = generate_ws(WSParams(20, 4, 0.2), 3)
         fit_ws(g, budget=25, replicates=1, seed=1)
-        evaluated = [p for p, _ in draws]
-        assert evaluated
-        assert min(evaluated) >= 0.001
+        assert draws
+        assert min(draws) >= 0.001
 
     def test_degree_std_mode(self):
         g = generate_ws(WSParams(40, 4, 0.3), 5)
@@ -150,7 +148,8 @@ class TestFitWS:
         def simulate(q, s):
             return average_clustering(generate_ws(WSParams(fit.params.n, fit.params.K, q), s))
 
-        replay = abs(target - smoothed_value(simulate, fit.params.p, 3, 4))
+        mean = np.mean([simulate(fit.params.p, derive(4, r)) for r in range(3)])
+        replay = abs(target - mean)
         assert replay == pytest.approx(fit.objective_value, abs=1e-12)
 
 
@@ -177,14 +176,14 @@ class TestFitCBA:
 
 @pytest.fixture
 def draws(monkeypatch):
-    """Every (p, seed) that the WS, CBA and DD searches simulate, replayed or built."""
+    """Every candidate p that the WS, CBA and DD searches ask the gap at, in order."""
     seen = []
     real = fitting_module._search
 
-    def spy(simulate, *args, **kwargs):
-        def spied(q, s):
-            seen.append((q, s))
-            return simulate(q, s)
+    def spy(gap_at, *args, **kwargs):
+        def spied(q):
+            seen.append(q)
+            return gap_at(q)
 
         return real(spied, *args, **kwargs)
 
@@ -213,21 +212,23 @@ def _degree_std(g):
 
 
 class TestSearch:
-    def test_candidates_share_replicate_seeds(self, draws):
+    def test_candidates_share_replicate_seeds(self, draws, builds):
+        # the values replayed from these builds are checked against building every
+        # replicate at every candidate by test_fit_equals_the_uncached_search_on_the_corpus
         fit_cba(generate_cba(CBAParams(40, 2, 0.5), 9), budget=15, replicates=3, seed=6)
-        seeds_by_p = {}
-        for p, seed in draws:
-            seeds_by_p.setdefault(p, []).append(seed)
-        assert len(seeds_by_p) > 2
-        assert len({tuple(s) for s in seeds_by_p.values()}) == 1
+        replicate_seeds = [derive(6, r) for r in range(3)]
+        assert len(draws) > 2
+        assert builds[:3] == [(draws[0], s) for s in replicate_seeds]
+        assert {s for _, s in builds} == set(replicate_seeds)
+        assert {p for p, _ in builds} <= set(draws)
 
     @pytest.mark.parametrize("budget", [1, 2, 5])
     @pytest.mark.parametrize("model", ["WS", "WS_STD", "CBA", "DD"])
     def test_budget_caps_distinct_candidates(self, draws, builds, model, budget):
         g = generate_community(CommunityParams((15, 15), 0.5, 0.1), 4)
         fit = fit_model(g, model, budget=budget, replicates=2, seed=1)
-        evaluated = {p for p, _ in draws}
-        assert fit.evaluations == len(evaluated) <= budget
+        evaluated = set(draws)
+        assert fit.evaluations == len(evaluated) == len(draws) <= budget
         assert fit.params.p in evaluated
         assert fit.builds == len(builds) <= fit.evaluations * fit.replicates_per_eval
 
@@ -253,25 +254,32 @@ class TestSearch:
         assert report.notes == notes
         assert (report.objective_value > 0) == bool(notes)
 
-    @pytest.mark.parametrize("rises, root", [(True, 0.3), (False, 0.7)],
-                             ids=["rising-gap", "falling-gap"])
-    def test_brackets_the_root_of_an_exact_gap(self, rises, root):
-        metric = (lambda q, seed: q) if rises else (lambda q, seed: 1.0 - q)
-        q, gap, evaluations, notes = _search(metric, 0.3, rises, 0.0, 1.0, budget=60,
-                                             replicates=1, seed=0)
-        assert q == pytest.approx(root, abs=TOLERANCE)
+    def test_brackets_the_root_of_an_exact_gap(self):
+        q, gap, evaluations, notes = _search(lambda q: q - 0.3, 0.0, 1.0, budget=60)
+        assert q == pytest.approx(0.3, abs=TOLERANCE)
         assert gap == pytest.approx(0.0, abs=TOLERANCE)
         assert evaluations < 60
         assert notes == ()
 
+    @pytest.mark.parametrize("rises, root", [(True, 0.3), (False, 0.7)],
+                             ids=["rising-metric", "falling-metric"])
+    def test_fit_orients_the_gap_by_the_metrics_direction(self, rises, root):
+        # rows are the candidate itself; the empty interval never replays
+        measure = (lambda q: q) if rises else (lambda q: 1.0 - q)
+        fit = _fit_searched("X", lambda q: q, lambda q, s: (q, (0, 0)), measure, 0.3, rises,
+                            0.0, 1.0, 60, 1, 0)
+        assert fit.params == pytest.approx(root, abs=TOLERANCE)
+        assert fit.objective_value == pytest.approx(0.0, abs=TOLERANCE)
+        assert fit.evaluations < 60
+        assert fit.notes == ()
+
     def test_tied_gaps_report_the_smaller_p(self):
-        # every candidate of a step metric is 0.5 from the target
-        assert _search(lambda q, s: float(q >= 0.5), 0.5, True, 0.0, 1.0, budget=60,
-                       replicates=1, seed=0) == (0.0, 0.5, 16, ())
+        # every candidate of a step gap is 0.5 from zero
+        assert _search(lambda q: float(q >= 0.5) - 0.5, 0.0, 1.0, budget=60) == (0.0, 0.5, 16, ())
 
     def test_sparse_dd_target_never_evaluates_p_1(self, draws):
         fit = fit_dd(generate_dd(DDParams(150, 0.45), 8), budget=60, replicates=4, seed=3)
-        assert max(p for p, _ in draws) < 1.0
+        assert max(draws) < 1.0
         assert fit.notes == ()
 
     # The directions the search brackets with; at n = 10 WS clustering is
@@ -439,21 +447,23 @@ EDGE_PS = {
 
 
 class _Captured(Exception):
-    """Carries a fit's simulate closure out of its search."""
+    """Carries a fit's arguments out of the call that would run them."""
 
 
 def _fit_simulate(monkeypatch, g, model):
-    """(simulate, params): the closure ``fit_model(g, model)`` searches with, and its params."""
+    """(simulate, params): one replicate's value ``simulate(q, seed)`` as
+    ``fit_model(g, model)`` builds and measures it, and the fit's params."""
     params = fit_model(g, model, budget=1, replicates=1).params
 
-    def stop(simulate, *args, **kwargs):
-        raise _Captured(simulate)
+    def stop(model, params_at, build, measure, *args, **kwargs):
+        raise _Captured(params_at, build, measure)
 
     with monkeypatch.context() as patch:
-        patch.setattr(fitting_module, "_search", stop)
+        patch.setattr(fitting_module, "_fit_searched", stop)
         with pytest.raises(_Captured) as caught:
             fit_model(g, model)
-    return caught.value.args[0], params
+    params_at, build, measure = caught.value.args
+    return (lambda q, s: measure(build(params_at(q), s)[0])), params
 
 
 def _assert_bitwise_equal(simulate, reference, ps, seeds):
@@ -580,17 +590,17 @@ class TestReplay:
             over = [w for w in words if w >= limit]
             return len(under), (max(under, default=-1), min(over, default=1 << 64))
 
-        def stop(simulate, *args, **kwargs):
-            raise _Captured(simulate)
+        def stop(gap_at, *args, **kwargs):
+            raise _Captured(gap_at)
 
         monkeypatch.setattr(fitting_module, "_search", stop)
         with pytest.raises(_Captured) as caught:
-            _fit_searched("X", lambda q: q, build, float, 0.0, True, 0.0, 1.0, 60, 1, 0)
-        simulate = caught.value.args[0]
+            _fit_searched("X", lambda q: q, build, float, 0.0, True, 0.0, 1.0, 60, 2, 0)
+        gap_at = caught.value.args[0]
         for c, value in ((4, 1.0), (3, 0.0), (5, 1.0), (6, 2.0), (2, 0.0), (7, 2.0)):
-            assert simulate(c * 2.0**-53, 0) == value, c
-        assert simulate(5 * 2.0**-53, 1) == 1.0  # another replicate seed builds its own
-        assert built == [(4, 0), (3, 0), (6, 0), (5, 1)]
+            assert gap_at(c * 2.0**-53) == value, c
+        # the second replicate seed builds its own wherever the first one builds
+        assert built == [(c, derive(0, r)) for c in (4, 3, 6) for r in range(2)]
 
     @pytest.mark.parametrize("model", SEARCHED)
     def test_builds_counts_the_builder_calls_and_repeats(self, builds, model):

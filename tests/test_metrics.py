@@ -492,6 +492,25 @@ class TestDistanceTotals:
         assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+class TestNetworkxOracle:
+    def test_five_metrics_match_networkx_at_n_2000(self):
+        """Density, average degree, assortativity, average clustering and degree
+        skewness agree with networkx and numpy on every generator's output."""
+        nx = pytest.importorskip("networkx")
+        for g in _generator_outputs(2000, 3):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.node_count))
+            h.add_edges_from(g.edges())
+            degrees = np.array([d for _, d in h.degree()], dtype=float)
+            centred = degrees - degrees.mean()
+            expected = (nx.density(h), degrees.mean(), nx.degree_assortativity_coefficient(h),
+                        nx.average_clustering(h),
+                        np.mean(centred**3) / np.mean(centred**2) ** 1.5)
+            got = (density(g), average_degree(g), assortativity(g), average_clustering(g),
+                   degree_skewness(g))
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
 class TestSkewness:
     def test_regular_zero(self):
         assert degree_skewness(TRIANGLE) == 0.0

@@ -21,7 +21,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from netfit.generators import CommunityParams, generate_community  # noqa: E402
-from netfit.graph import Graph, save_edge_list  # noqa: E402
+from netfit.graph import Graph, serialize_edge_list  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "netfit" / "data" / "corpus"
 
@@ -89,7 +89,7 @@ def main():
     manifest = []
     for name, domain, seed in corpus_recipes():
         g = build_graph(np.random.default_rng(seed), domain)
-        save_edge_list(g, OUT / f"{name}.txt")
+        (OUT / f"{name}.txt").write_text(serialize_edge_list(g), encoding="utf-8", newline="\n")
         manifest.append((name, f"{name}.txt", domain))
         print(f"{name}: n={g.node_count} m={g.edge_count}")
     with open(OUT / "manifest.csv", "w", encoding="utf-8", newline="") as fh:
