@@ -115,9 +115,8 @@ def cmd_measure(args):
     rows = []
     failures = 0
     for path in args.paths:
-        try:
-            g = load_edge_list(path)
-            rows.append((Path(path).stem, feature_vector(g)))
+        try:  # no graph is held while the next one loads
+            rows.append((Path(path).stem, feature_vector(load_edge_list(path))))
         except (OSError, EdgeListError) as exc:  # these name the file
             failures += 1
             print(f"error: {exc}", file=sys.stderr)

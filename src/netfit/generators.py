@@ -8,9 +8,11 @@ exactly.
 Every generator returns a simple :class:`~netfit.graph.Graph` and is
 deterministic for a given (params, seed) pair. WS, CBA and DD build
 their per-node rows in a row builder (:func:`ws_rows`, :func:`cba_rows`,
-:func:`dd_rows`). The public generator checks the sorted rows into a
-``Graph``; the fit simulations measure the rows and build none, so
-every graph the library returns is still checked. A row builder also
+:func:`dd_rows`). The public generator hands the rows over to
+:meth:`~netfit.graph.Graph.from_rows`, which sorts them into a checked
+``Graph`` and releases them, as :func:`generate_2k` does with its own;
+the fit simulations measure the rows and build none, so every graph
+the library returns is still checked. A row builder also
 returns the interval ``(below, above)`` of coin limits
 (:func:`~netfit.seeds.coin_limit`) over which its coins fall the same
 way: at any p whose limit L has ``below < L <= above`` it builds the
@@ -191,7 +193,7 @@ class TwoKParams:
 
 def generate_ws(params, seed):
     """Small-world graph: circulant ring lattice with random rewiring (see :func:`ws_rows`)."""
-    return Graph([sorted(nbrs) for nbrs in ws_rows(params, seed)[0]])
+    return Graph.from_rows(ws_rows(params, seed)[0])
 
 
 def ws_rows(params, seed):
@@ -271,7 +273,7 @@ def _weighted_pick(draws, repeated, adj, v):
 
 def generate_cba(params, seed):
     """Preferential attachment with triad formation (see :func:`cba_rows`)."""
-    return Graph([sorted(nbrs) for nbrs in cba_rows(params, seed)[0]])
+    return Graph.from_rows(cba_rows(params, seed)[0])
 
 
 def cba_rows(params, seed):
@@ -346,7 +348,7 @@ DD_FAILURE_BUDGET_PER_NODE = 10_000
 
 def generate_dd(params, seed):
     """Duplication-divergence growth from a single edge (see :func:`dd_rows`)."""
-    return Graph(dd_rows(params, seed)[0])
+    return Graph.from_rows(dd_rows(params, seed)[0])
 
 
 def dd_rows(params, seed):
@@ -541,8 +543,11 @@ def generate_2k(params, seed):
     n = len(target)
     free = list(target)
     adj = [set() for _ in range(n)]
+    # one int object per node id: the sets and lists below hold these, not a
+    # fresh int per stored endpoint
+    ids = list(range(n))
     # per class, the nodes with a free stub; slot[v] is v's index there
-    unsat = {k: list(range(start[k], start[k] + counts[k])) for k in counts}
+    unsat = {k: ids[start[k]:start[k] + counts[k]] for k in counts}
     slot = [v - start[k] for v, k in enumerate(target)]
     draws = Draws(seed)
 
@@ -596,12 +601,12 @@ def generate_2k(params, seed):
         placed = 0
         while placed < count:
             if open_pairs is None and 2 * hits * (cap - placed) < nk * nl:
-                open_pairs = [(v, w) for v in range(sk, sk + nk)
-                              for w in range(v + 1 if k == l else sl, sl + nl)
+                open_pairs = [(v, w) for v in ids[sk:sk + nk]
+                              for w in ids[v + 1 if k == l else sl:sl + nl]
                               if w not in adj[v]]
             if open_pairs is None:
-                v = sk + draws.integers(nk)
-                w = sl + draws.integers(nl)
+                v = ids[sk + draws.integers(nk)]
+                w = ids[sl + draws.integers(nl)]
                 if v == w or w in adj[v]:
                     continue
             else:
@@ -621,7 +626,7 @@ def generate_2k(params, seed):
             take_stub(v)
             take_stub(w)
             placed += 1
-    return Graph([sorted(nbrs) for nbrs in adj])
+    return Graph.from_rows(adj)
 
 
 _GENERATORS = {

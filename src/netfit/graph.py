@@ -4,9 +4,10 @@ Every other module works on the :class:`Graph` defined here: a simple
 (no self-loops, no parallel edges), undirected, unweighted graph with
 nodes densely numbered ``0..n-1``. Graphs are immutable once built.
 A graph is its degree array and its concatenated sorted rows. Code that
-adds edges in arbitrary order collects them in per-node sets and passes
-the sorted rows to :class:`Graph`; code that has the arrays passes them
-to :meth:`Graph.from_arrays`. Both end in the same check.
+adds edges in arbitrary order collects them in a list of per-node sets
+and hands that list over to :meth:`Graph.from_rows`, which sorts each
+row into the arrays and releases it; code that has the arrays passes
+them to :meth:`Graph.from_arrays`. Both end in the same check.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ class Graph:
     def __init__(self, rows):
         """Graph whose node u links to the sorted row ``rows[u]``."""
         self._adopt(*row_arrays(rows))
+
+    @classmethod
+    def from_rows(cls, rows):
+        """Graph whose node u links to the nodes of ``rows[u]``, a list handed over.
+
+        A row may list its nodes in any order. One row at a time is
+        sorted into the target array and its slot in ``rows`` set to
+        None, so the rows never exist twice and are all gone before the
+        check runs; the caller must hold no other reference to them.
+        """
+        deg = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        dst = np.fromiter(chain.from_iterable(_released_sorted(rows)), dtype=np.int64,
+                          count=int(deg.sum()))
+        return cls.from_arrays(deg, dst)
 
     @classmethod
     def from_arrays(cls, degrees, targets):
@@ -119,6 +134,13 @@ def row_arrays(rows):
     return deg, _sources(deg), dst
 
 
+def _released_sorted(rows):
+    """Each row of the list ``rows`` sorted, in node order; its slot is cleared first."""
+    for u, row in enumerate(rows):
+        rows[u] = None
+        yield sorted(row)
+
+
 def _sources(deg):
     return np.repeat(np.arange(len(deg), dtype=np.int64), deg)
 
@@ -163,12 +185,31 @@ def _check_rows(deg, src, dst):
         raise ValueError("odd total degree")
 
 
+PARSE_BLOCK = 1 << 16  # characters of text split into lines at a time
+
+
+def _lines(text):
+    """The lines of ``text`` as ``text.splitlines()`` gives them, a block at a time.
+
+    Each block ends just after the first ``"\n"`` at least PARSE_BLOCK
+    characters on, or at the end of the text. A cut after ``"\n"`` is a
+    line end for every ``str.splitlines`` boundary, ``"\r\n"`` included,
+    so only one block's line strings are alive at once.
+    """
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + PARSE_BLOCK - 1) + 1 or len(text)
+        yield from text[pos:end].splitlines()
+        pos = end
+
+
 def parse_edge_list(text):
     """Parse edge-list text into a simplified :class:`Graph`.
 
     Each data line holds two whitespace-separated node tokens; extra
-    columns (weights etc.) are ignored. Lines whose first non-blank
-    character is ``#`` or ``%`` are comments. Self-loops are dropped and
+    columns (weights etc.) are ignored. Lines end at every boundary
+    ``str.splitlines`` honours. Lines whose first non-blank character
+    is ``#`` or ``%`` are comments. Self-loops are dropped and
     duplicate/reversed edges collapsed. Tokens are mapped to dense ids in
     order of first appearance on a kept edge; nodes mentioned only in
     self-loops do not survive.
@@ -178,7 +219,7 @@ def parse_edge_list(text):
     """
     ids = {}  # token -> dense id, in first-appearance order
     heads, tails = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(COMMENT_PREFIXES):
             continue
@@ -192,16 +233,21 @@ def parse_edge_list(text):
         tails.append(ids.setdefault(b, len(ids)))
     if not ids:
         raise EdgeListError("no usable edges in input")
-    # both orientations as keys u*n + v, sorted, each distinct key once
+    # both orientations as keys u*n + v, sorted, each distinct key once; each
+    # intermediate goes as soon as the next is made
     n = len(ids)
-    u = np.array(heads, dtype=np.int64)
-    v = np.array(tails, dtype=np.int64)
+    u, v = np.array(heads, dtype=np.int64), np.array(tails, dtype=np.int64)
+    del ids, heads, tails
     keys = np.concatenate((u * n + v, v * n + u))
+    del u, v
     keys.sort()
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     src, dst = np.divmod(keys[first], n)
-    return Graph.from_arrays(np.bincount(src, minlength=n), dst)
+    del keys, first
+    deg = np.bincount(src, minlength=n)
+    del src
+    return Graph.from_arrays(deg, dst)
 
 
 SERIALIZE_CHUNK = 4096  # edges formatted into one string at a time

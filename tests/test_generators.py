@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -581,6 +582,19 @@ class TestGenerate2K:
                 assert joint_degree_matrix(generate_2k(jdm, seed)).entries == jdm.entries
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"dense JDMs took {elapsed:.1f}s"
+
+    def test_sets_share_one_int_per_node_and_rows_are_handed_over(self):
+        # traced to 4.6 MiB; a fresh int per stored endpoint, or a sorted
+        # copy of every row beside the sets, each to 5.6 MiB, and both to 7.1
+        jdm = joint_degree_matrix(generate_cba(CBAParams(5000, 4, 0.3), 1))
+        tracemalloc.start()
+        try:
+            out = generate_2k(jdm, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert joint_degree_matrix(out).entries == jdm.entries
+        assert peak <= 5.1 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("n", [1000, 3000])
     def test_mean_distance_near_the_source(self, n):

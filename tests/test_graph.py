@@ -1,4 +1,6 @@
 import importlib.util
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,9 @@ from netfit.generators import (
     WSParams,
     generate,
 )
+from netfit import graph
 from netfit.graph import (
+    PARSE_BLOCK,
     SERIALIZE_CHUNK,
     EdgeListError,
     Graph,
@@ -143,6 +147,26 @@ COMMENT_LINE = st.builds(lambda lead, prefix, body: lead + prefix + body,
                          st.sampled_from(["", " a b", "x", " 1 2 3"]))
 BLANK_LINE = st.sampled_from(["", " ", "\t"])
 ONE_TOKEN_LINE = st.builds(lambda lead, t: lead + t, st.sampled_from(["", " "]), TOKENS)
+# every line boundary str.splitlines honours; "\r\n" is one boundary
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"]
+LINE_END = st.sampled_from(LINE_ENDS)
+# blocks of a few characters put block cuts inside most lines
+BLOCK_SIZE = st.one_of(st.integers(1, 8), st.just(PARSE_BLOCK))
+
+
+def _joined(lines, ends, trailing=False):
+    """The lines, each ended by its own line end; the last one only when ``trailing``."""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not trailing:
+        text = text[: len(text) - len(ends[len(lines) - 1])]
+    return text
+
+
+def _parse_in_blocks(block, text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "PARSE_BLOCK", block)
+        return _parse_outcome(parse_edge_list, text)
 
 
 class TestParseMatchesReference:
@@ -154,26 +178,46 @@ class TestParseMatchesReference:
         assert _parse_outcome(parse_edge_list, text) == \
             _parse_outcome(reference_parse_edge_list, text)
 
+    def test_line_ends_are_every_splitlines_boundary(self):
+        text = "a".join(map(chr, range(0x110000)))
+        ends = {line[-1] for line in text.splitlines(keepends=True)[:-1]}
+        assert ends == {end[-1] for end in LINE_ENDS}
+
     @given(
         st.lists(st.one_of(EDGE_LINE, EDGE_LINE, EDGE_LINE, SELF_LOOP_LINE, COMMENT_LINE,
                            BLANK_LINE), max_size=40),
-        st.sampled_from(["\n", "\r\n"]),
+        st.one_of(LINE_END.map(lambda end: [end] * 40), st.lists(LINE_END, min_size=40)),
         st.booleans(),
+        BLOCK_SIZE,
     )
     @settings(max_examples=300, deadline=None)
-    def test_generated_edge_lists(self, lines, newline, trailing):
-        text = newline.join(lines) + (newline if trailing else "")
-        assert _parse_outcome(parse_edge_list, text) == \
-            _parse_outcome(reference_parse_edge_list, text)
+    def test_generated_edge_lists(self, lines, ends, trailing, block):
+        text = _joined(lines, ends, trailing)
+        assert _parse_in_blocks(block, text) == _parse_outcome(reference_parse_edge_list, text)
 
-    @given(st.lists(st.one_of(EDGE_LINE, SELF_LOOP_LINE, COMMENT_LINE), max_size=10),
-           ONE_TOKEN_LINE, st.lists(EDGE_LINE, max_size=5))
+    @given(st.lists(st.one_of(EDGE_LINE, SELF_LOOP_LINE, COMMENT_LINE, BLANK_LINE), max_size=10),
+           ONE_TOKEN_LINE, st.lists(EDGE_LINE, max_size=5), st.lists(LINE_END, min_size=16),
+           BLOCK_SIZE)
     @settings(max_examples=100, deadline=None)
-    def test_one_token_line_error(self, before, bad, after):
-        text = "\n".join(before + [bad] + after)
-        outcome = _parse_outcome(parse_edge_list, text)
+    def test_one_token_line_error(self, before, bad, after, ends, block):
+        text = _joined(before + [bad] + after, ends)
+        outcome = _parse_in_blocks(block, text)
         assert outcome == _parse_outcome(reference_parse_edge_list, text)
         assert outcome.startswith("line ")
+
+    def test_blocks_hold_a_few_lines_at_once(self):
+        # CBA(10^4, 4, 0.3) as 39 990 lines: the parse traced 2.6 MiB; with
+        # its lists and arrays alive to the end, 6.1 MiB; with every line
+        # string of the text split at once, 4.2 MiB
+        text = serialize_edge_list(generate(CBAParams(10_000, 4, 0.3), 1))
+        tracemalloc.start()
+        try:
+            parsed = parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == reference_parse_edge_list(text)
+        assert peak <= 3.5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_node_only_in_self_loop_is_dropped(self):
         text = "q q\na b\nb a\na b 2.0\nc c\n% c d\nc a\n"
@@ -226,6 +270,27 @@ class TestGraphInvariants:
         for u in (-1, 5):
             with pytest.raises(IndexError):
                 g.neighbors(u)
+
+    @pytest.mark.parametrize("adjacency,message", [
+        (rows, message) for (rows, message), name in zip(INVALID_ROWS, INVALID_IDS)
+        if name != "unsorted"  # the handed-over rows are sorted first
+    ])
+    def test_handed_over_rows_run_the_same_check(self, adjacency, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph.from_rows([list(row) for row in adjacency])
+
+    def test_handed_over_rows_are_released_before_the_check(self, monkeypatch):
+        rows = [{2, 1}, {0}, {0}]
+        refs = [weakref.ref(row) for row in rows]
+        alive = []
+        check = graph._check_rows
+        monkeypatch.setattr(graph, "_check_rows",
+                            lambda *arrays: (alive.append([r() is not None for r in refs]),
+                                             check(*arrays)))
+        g = Graph.from_rows(rows)
+        assert alive == [[False, False, False]]
+        assert rows == [None, None, None]
+        assert g == Graph(((1, 2), (0,), (0,)))
 
     def test_first_fault_in_node_order_is_named(self):
         # node 1 has a self-loop and node 3 is out of range; node 1 comes first

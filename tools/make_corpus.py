@@ -70,7 +70,7 @@ def build_graph(rng, domain):
         if not adj[u]:
             other = int(rng.integers(size - 1))
             link(u, other if other < u else other + 1)
-    return Graph([sorted(nbrs) for nbrs in adj])
+    return Graph.from_rows(adj)
 
 
 def corpus_recipes():

@@ -13,7 +13,10 @@ on the same inputs (this checkout's bundled corpus):
   and one ``measure`` over the generated graphs;
 - ``generate --seed 7`` of a CBA graph at n = 1000 from a fit JSON the
   tool writes (m = 5, p = 0.005), then on that graph ``fit --model CBA``
-  and ``stability --replicates 10 --fit-replicates 2``.
+  and ``stability --replicates 10 --fit-replicates 2``;
+- ``generate --seed 7`` of a CBA graph at n = 5000 (m = 4, p = 0.3) from
+  a second such JSON, and ``measure`` over it: an edge list of about
+  175 kB, larger than one block of the edge-list parse.
 
 Each command's output files, stdout, stderr and exit code are kept, and
 the two output trees are compared with ``diff -r``. For each CSV file
@@ -31,7 +34,7 @@ export the ref.
 The digest steps of the same command set (``pipeline --jobs 1``,
 ``gof``, the three ``classify`` tasks with both models, ``stability``,
 ``fit --model all`` and the ``generate`` and ``measure`` that follow
-it) are pinned in
+it, and the n = 5000 ``generate`` and ``measure``) are pinned in
 ``tests/data/output_digests.json``: one SHA-256 per output file, with
 the numpy version that wrote them. A tier-1 test reruns those steps
 in-process and names every file that differs. A change that alters
@@ -59,8 +62,11 @@ from netfit.fitting import MODELS  # noqa: E402
 CORPUS = ROOT / "src" / "netfit" / "data" / "corpus"
 SEED = "7"
 GRAPH = CORPUS / "brain_04.txt"
-CBA_FIT = {"model": "CBA", "params": {"n": 1000, "m": 5, "p": 0.005}}
-CBA_FIT_FILE = "cba_n1000.json"  # written into each output tree by run()
+# fit JSONs written into each output tree before its commands run
+FIT_FILES = {
+    "cba_n1000.json": {"model": "CBA", "params": {"n": 1000, "m": 5, "p": 0.005}},
+    "cba_n5000.json": {"model": "CBA", "params": {"n": 5000, "m": 4, "p": 0.3}},
+}
 DIGESTS = ROOT / "tests" / "data" / "output_digests.json"
 # the reports ``fit GRAPH --model all`` writes, one per model, in name order
 FIT_REPORTS = tuple(sorted(f"{GRAPH.stem}_{spec.name}" for spec in MODELS))
@@ -68,7 +74,8 @@ FIT_REPORTS = tuple(sorted(f"{GRAPH.stem}_{spec.name}" for spec in MODELS))
 DIGEST_STEPS = ("pipeline_jobs1", "gof",
                 *(f"classify_{task}_{model}" for task in ("domain", "category", "subcategory")
                   for model in ("tree", "forest")),
-                "stability", "fit", *(f"generate_{stem}" for stem in FIT_REPORTS), "measure")
+                "stability", "fit", *(f"generate_{stem}" for stem in FIT_REPORTS), "measure",
+                "generate_cba_n5000", "measure_cba_n5000")
 
 
 def command_set():
@@ -93,15 +100,24 @@ def command_set():
     steps.append(("measure", ["measure", *(f"generate/{stem}.txt" for stem in FIT_REPORTS),
                               "--out", "measure.csv"]))
     steps += [
-        ("generate_cba_n1000", ["generate", CBA_FIT_FILE, "--seed", SEED,
+        ("generate_cba_n1000", ["generate", "cba_n1000.json", "--seed", SEED,
                                 "--out", "cba_n1000.txt"]),
         ("fit_cba_n1000", ["fit", "cba_n1000.txt", "--model", "CBA", "--seed", SEED,
                            "--out", "fit_cba_n1000"]),
         ("stability_cba_n1000", ["stability", "cba_n1000.txt", "--replicates", "10",
                                  "--fit-replicates", "2", "--seed", SEED,
                                  "--out", "stability_cba_n1000"]),
+        ("generate_cba_n5000", ["generate", "cba_n5000.json", "--seed", SEED,
+                                "--out", "cba_n5000.txt"]),
+        ("measure_cba_n5000", ["measure", "cba_n5000.txt", "--out", "measure_cba_n5000.csv"]),
     ]
     return steps
+
+
+def write_fit_files(out_dir):
+    """Write the fit JSONs of :data:`FIT_FILES` into out_dir."""
+    for name, report in FIT_FILES.items():
+        (out_dir / name).write_text(json.dumps(report) + "\n", encoding="utf-8")
 
 
 def run(src, out_dir):
@@ -113,7 +129,7 @@ def run(src, out_dir):
     logs = out_dir / "logs"
     logs.mkdir(parents=True)
     (out_dir / "generate").mkdir()
-    (out_dir / CBA_FIT_FILE).write_text(json.dumps(CBA_FIT) + "\n", encoding="utf-8")
+    write_fit_files(out_dir)
     failed = []
 
     def netfit(name, args):
@@ -134,11 +150,13 @@ def output_digests(out_dir):
     """{path: SHA-256} of every file the digest steps write into out_dir.
 
     The steps run in-process through ``netfit.cli.main``, with out_dir
-    as the working directory; RuntimeError if one exits non-zero.
+    as the working directory; RuntimeError if one exits non-zero. The
+    fit JSONs they read are written first and not digested.
     """
     from netfit.cli import main as netfit_main
 
     steps = dict(command_set())
+    write_fit_files(out_dir)
     cwd = os.getcwd()
     os.chdir(out_dir)
     try:
@@ -149,7 +167,8 @@ def output_digests(out_dir):
     finally:
         os.chdir(cwd)
     return {path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out_dir.rglob("*")) if path.is_file()}
+            for path in sorted(out_dir.rglob("*"))
+            if path.is_file() and path.relative_to(out_dir).as_posix() not in FIT_FILES}
 
 
 def write_digests():
