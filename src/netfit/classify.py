@@ -115,10 +115,6 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
 
-    @property
-    def is_leaf(self):
-        return self.feature < 0
-
 
 def _gini_split_score(col, labels, weights, rows, counts):
     """Best (weighted Gini, threshold) for one feature column over ``rows``, or None.

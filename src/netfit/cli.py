@@ -9,6 +9,7 @@ graph name, so --jobs never changes the output bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -17,6 +18,9 @@ import sys
 from itertools import repeat
 from pathlib import Path
 
+# perfbench/tracing.py wraps fit_model, generate, feature_vector,
+# load_edge_list and others where this module binds them, so these names
+# must stay bound here at import time, not be imported inside a command.
 from . import seeds
 from .dataset import DOMAINS, DatasetRow, DatasetTable, csv_text, write_feature_csv
 from .fitting import DEFAULT_BUDGET, DEFAULT_REPLICATES, MODELS, fit_model, params_from_json_obj
@@ -250,20 +254,20 @@ def cmd_pipeline(args):
     seed = _resolve_seed(args)
     out_dir = Path(args.out)
     work = (entries, repeat(seed), repeat(args.budget), repeat(args.fit_replicates))
-    if args.jobs == 1 or len(entries) <= 1:
-        results = list(map(_pipeline_one, *work))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_pipeline_one, *work))
     all_rows = []
     all_failures = []
-    for rows, artifacts, failures in results:
-        all_rows.extend(rows)
-        for rel, text in sorted(artifacts.items()):
-            _write(out_dir / rel, text)
-        all_failures.extend(failures)
+    with contextlib.ExitStack() as stack:
+        ordered_map = map
+        if args.jobs > 1 and len(entries) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            ordered_map = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
+        # each graph's files are written as its result arrives, in manifest order
+        for rows, artifacts, failures in ordered_map(_pipeline_one, *work):
+            all_rows.extend(rows)
+            for rel, text in sorted(artifacts.items()):
+                _write(out_dir / rel, text)
+            all_failures.extend(failures)
     table = DatasetTable(rows=tuple(all_rows))
     _write(out_dir / "dataset.csv", table.to_csv_text())
     for line in all_failures:

@@ -69,12 +69,17 @@ def _cell(record, i, kind):
 
 
 def _feature_cells(name, fv):
-    """The name and feature columns of one CSV row, floats written exactly."""
-    return [name, fv.size] + [repr(getattr(fv, f)) for f in METRIC_FIELDS]
+    """The name and feature columns of one CSV row."""
+    return [name, fv.size] + [getattr(fv, f) for f in METRIC_FIELDS]
 
 
 def csv_text(header, rows):
-    """CSV text of ``header`` and then ``rows``; every line ends in a bare newline."""
+    """CSV text of ``header`` and then ``rows``; every line ends in a bare newline.
+
+    Cells are written by ``csv.writer``: a float, ``np.float64`` included,
+    as ``repr(float(x))``, which reads back to the same value, and None
+    as an empty cell.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -130,19 +135,14 @@ class DatasetTable:
         )
 
     @classmethod
-    def from_csv_text(cls, text):
-        return cls._read(io.StringIO(text), "dataset <text>")
-
-    @classmethod
     def from_csv(cls, path):
+        """Table from the CSV file at ``path``.
+
+        A DatasetError reads ``dataset <path>:<line>: ...``.
+        """
         source = f"dataset {path}"
         text = utf8_text(path, lambda line: DatasetError(f"{source}:{line}: not UTF-8 text"))
-        return cls._read(io.StringIO(text, newline=None), source)
-
-    @classmethod
-    def _read(cls, lines, source):
-        """Table from CSV lines; a DatasetError reads ``<source>:<line>: ...``."""
-        reader = csv.reader(lines)
+        reader = csv.reader(io.StringIO(text, newline=None))
         rows = []
         seen = set()
         try:

@@ -11,8 +11,9 @@ their per-node rows in a row builder (:func:`ws_rows`, :func:`cba_rows`,
 :func:`dd_rows`). The public generator hands the rows over to
 :meth:`~netfit.graph.Graph.from_rows`, which sorts them into a checked
 ``Graph`` and releases them, as :func:`generate_2k` does with its own;
-the fit simulations measure the rows and build none, so every graph
-the library returns is still checked. A row builder also
+Com builds the arrays themselves for ``Graph(degrees, targets)``. The
+fit simulations measure the rows and build none, so every graph the
+library returns is still checked. A row builder also
 returns the interval ``(below, above)`` of coin limits
 (:func:`~netfit.seeds.coin_limit`) over which its coins fall the same
 way: at any p whose limit L has ``below < L <= above`` it builds the
@@ -452,7 +453,7 @@ def generate_community(params, seed):
     # orientations by (src, dst) yields every row sorted
     src = np.concatenate(lows + highs)
     dst = np.concatenate(highs + lows)
-    return Graph.from_arrays(np.bincount(src, minlength=n), dst[np.lexsort((dst, src))])
+    return Graph(np.bincount(src, minlength=n), dst[np.lexsort((dst, src))])
 
 
 def _triangular_unrank(cells, s):

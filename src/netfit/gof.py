@@ -52,7 +52,7 @@ class DistanceMatrix:
         rows = []
         for sub_a in self.subcategories:
             cells = [self.entries[domain].get((sub_a, sub_b)) for sub_b in self.subcategories]
-            rows.append([sub_a] + ["" if entry is None else repr(entry[0]) for entry in cells])
+            rows.append([sub_a] + [None if entry is None else entry[0] for entry in cells])
         return csv_text(["", *self.subcategories], rows)
 
 
@@ -95,8 +95,7 @@ class CorrelationMatrix:
     degenerate: tuple  # names of flat metric columns (entries forced to 0)
 
     def to_csv_text(self):
-        rows = [[name] + [repr(float(v)) for v in row]
-                for name, row in zip(METRIC_FIELDS, self.matrix)]
+        rows = [[name, *row] for name, row in zip(METRIC_FIELDS, self.matrix)]
         return csv_text(["", *METRIC_FIELDS], rows)
 
 
@@ -129,7 +128,7 @@ class PcaProjection:
 
     def to_csv_text(self):
         return csv_text(["name", "domain", "pc1", "pc2"],
-                        ([name, domain, repr(pc1), repr(pc2)]
+                        ([name, domain, pc1, pc2]
                          for name, domain, _sub, pc1, pc2 in self.rows))
 
 

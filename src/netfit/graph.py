@@ -3,11 +3,11 @@
 Every other module works on the :class:`Graph` defined here: a simple
 (no self-loops, no parallel edges), undirected, unweighted graph with
 nodes densely numbered ``0..n-1``. Graphs are immutable once built.
-A graph is its degree array and its concatenated sorted rows. Code that
+A graph is its degree array and its concatenated sorted rows, and
+``Graph(degrees, targets)`` is its one checked constructor. Code that
 adds edges in arbitrary order collects them in a list of per-node sets
 and hands that list over to :meth:`Graph.from_rows`, which sorts each
-row into the arrays and releases it; code that has the arrays passes
-them to :meth:`Graph.from_arrays`. Both end in the same check.
+row into the arrays and releases it before the check runs.
 """
 
 from __future__ import annotations
@@ -51,9 +51,25 @@ class Graph:
 
     __slots__ = ("node_count", "edge_count", "degree_array", "edge_endpoints")
 
-    def __init__(self, rows):
-        """Graph whose node u links to the sorted row ``rows[u]``."""
-        self._adopt(*row_arrays(rows))
+    def __init__(self, degrees, targets):
+        """Graph from its degrees and its concatenated sorted rows.
+
+        The int64 arrays are taken over, not copied, and made read-only.
+        ValueError names the first fault (see :func:`_check_rows`).
+        """
+        deg, dst = np.asarray(degrees), np.asarray(targets)
+        if deg.ndim != 1 or dst.ndim != 1 or deg.dtype != np.int64 or dst.dtype != np.int64:
+            raise ValueError("degrees and rows must be 1-D int64 arrays")
+        if deg.min(initial=0) < 0 or int(deg.sum()) != len(dst):
+            raise ValueError("degrees do not match the rows")
+        src = edge_sources(deg)
+        _check_rows(deg, src, dst)
+        for arr in (deg, src, dst):
+            arr.setflags(write=False)
+        object.__setattr__(self, "node_count", len(deg))
+        object.__setattr__(self, "edge_count", len(dst) // 2)
+        object.__setattr__(self, "degree_array", deg)
+        object.__setattr__(self, "edge_endpoints", (src, dst))
 
     @classmethod
     def from_rows(cls, rows):
@@ -64,35 +80,8 @@ class Graph:
         None, so the rows never exist twice and are all gone before the
         check runs; the caller must hold no other reference to them.
         """
-        deg = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        dst = np.fromiter(chain.from_iterable(_released_sorted(rows)), dtype=np.int64,
-                          count=int(deg.sum()))
-        return cls.from_arrays(deg, dst)
-
-    @classmethod
-    def from_arrays(cls, degrees, targets):
-        """Graph from its degrees and its concatenated sorted rows.
-
-        The int64 arrays are taken over, not copied, and made read-only;
-        they pass the same check as rows given to the constructor.
-        """
-        deg, dst = np.asarray(degrees), np.asarray(targets)
-        if deg.ndim != 1 or dst.ndim != 1 or deg.dtype != np.int64 or dst.dtype != np.int64:
-            raise ValueError("degrees and rows must be 1-D int64 arrays")
-        if deg.min(initial=0) < 0 or int(deg.sum()) != len(dst):
-            raise ValueError("degrees do not match the rows")
-        g = object.__new__(cls)
-        g._adopt(deg, _sources(deg), dst)
-        return g
-
-    def _adopt(self, deg, src, dst):
-        _check_rows(deg, src, dst)
-        for arr in (deg, src, dst):
-            arr.setflags(write=False)
-        object.__setattr__(self, "node_count", len(deg))
-        object.__setattr__(self, "edge_count", len(dst) // 2)
-        object.__setattr__(self, "degree_array", deg)
-        object.__setattr__(self, "edge_endpoints", (src, dst))
+        deg, dst = row_arrays(rows, release=True)
+        return cls(deg, dst)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -122,16 +111,18 @@ class Graph:
         return zip(src[once].tolist(), dst[once].tolist())
 
 
-def row_arrays(rows):
-    """(degrees, sources, targets): per-node rows flattened to int64 arrays.
+def row_arrays(rows, release=False):
+    """(degrees, targets): per-node rows flattened to int64 arrays.
 
-    ``rows[u]`` is a sized iterable of node u's neighbours. ``targets``
-    concatenates the rows in node order, each in its own order, and
-    ``sources`` repeats each node id once per entry of its row.
+    ``rows[u]`` is a sized iterable of node u's neighbours, and
+    ``targets`` concatenates the rows in node order, each in its own
+    order. With ``release``, ``rows`` is a list handed over: after the
+    degrees are read, each row is sorted and its slot set to None.
     """
     deg = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    dst = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(deg.sum()))
-    return deg, _sources(deg), dst
+    entries = _released_sorted(rows) if release else rows
+    dst = np.fromiter(chain.from_iterable(entries), dtype=np.int64, count=int(deg.sum()))
+    return deg, dst
 
 
 def _released_sorted(rows):
@@ -141,7 +132,8 @@ def _released_sorted(rows):
         yield sorted(row)
 
 
-def _sources(deg):
+def edge_sources(deg):
+    """The source of each entry of the concatenated rows: node u repeated deg[u] times."""
     return np.repeat(np.arange(len(deg), dtype=np.int64), deg)
 
 
@@ -247,7 +239,7 @@ def parse_edge_list(text):
     del keys, first
     deg = np.bincount(src, minlength=n)
     del src
-    return Graph.from_arrays(deg, dst)
+    return Graph(deg, dst)
 
 
 SERIALIZE_CHUNK = 4096  # edges formatted into one string at a time

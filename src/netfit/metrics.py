@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import TwoKParams
-from .graph import ItemFailure, row_arrays
+from .graph import ItemFailure, edge_sources, row_arrays
 
 #: Metric fields entering distance / correlation / PCA computations
 #: (size is excluded: generated counterparts share it by construction).
@@ -50,22 +50,19 @@ class MetricDomainError(ItemFailure, ValueError):
     """Raised when a metric's precondition (n or m too small) fails."""
 
 
-class PowerIterationError(ItemFailure, RuntimeError):
-    """The eigenvector solver did not converge within its step cap.
+class EigenvectorError(ItemFailure, RuntimeError):
+    """The Lanczos eigenvector solver did not converge within its step cap.
 
-    The solver is Lanczos; the name and the message ("power iteration
-    did not converge after <steps> iterations") are kept from the power
-    iteration it replaced, and ``iterations`` counts Lanczos steps.
-    ``args`` holds the two numbers, so the error pickles.
+    ``args`` holds the residual and the step count, so the error pickles.
     """
 
-    def __init__(self, residual, iterations):
-        super().__init__(residual, iterations)
+    def __init__(self, residual, steps):
+        super().__init__(residual, steps)
         self.residual = residual
-        self.iterations = iterations
+        self.steps = steps
 
     def __str__(self):
-        return (f"power iteration did not converge after {self.iterations} iterations "
+        return (f"Lanczos did not converge after {self.steps} steps "
                 f"(residual {self.residual:.3e})")
 
 
@@ -183,7 +180,8 @@ def clustering_of_rows(rows):
     orientations of every edge grouped by row) for the same kernel as
     :func:`average_clustering`, so the two agree bit for bit.
     """
-    deg, src, dst = row_arrays(rows)
+    deg, dst = row_arrays(rows)
+    src = edge_sources(deg)
     keys = src * len(rows) + dst
     keys.sort()
     return _clustering(deg, src, dst, keys)
@@ -268,7 +266,7 @@ def max_eigenvector_centrality(g, tol=1e-10, max_iter=10_000):
     eigenspace in one direction, so on a graph whose top eigenvalue is
     repeated (a disconnected one) the result is the uniform vector's
     projection onto it. The vector's sign makes its sum positive.
-    Raises :class:`PowerIterationError` after ``max_iter`` steps
+    Raises :class:`EigenvectorError` after ``max_iter`` steps
     (matrix-vector products).
     """
     n = g.node_count
@@ -284,7 +282,7 @@ def max_eigenvector_centrality(g, tol=1e-10, max_iter=10_000):
         alpha, beta = [], []
         for k in range(len(basis)):
             if steps == max_iter:
-                raise PowerIterationError(residual, steps)
+                raise EigenvectorError(residual, steps)
             v = basis[k]
             w = np.bincount(dst, weights=v[src], minlength=n)
             steps += 1

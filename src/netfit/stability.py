@@ -52,9 +52,8 @@ class StabilitySummary:
         return csv_text(
             ["model", "metric", "mean", "std", "min", "q1", "median", "q3", "max",
              "failures", "replicates"],
-            ([model, metric]
-             + [repr(v) for v in astuple(self.cells[(model, metric)])]
-             + [self.failures[model], self.replicates]
+            ([model, metric, *astuple(self.cells[(model, metric)]),
+              self.failures[model], self.replicates]
              for model in self.models for metric in SUMMARY_FIELDS),
         )
 

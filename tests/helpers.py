@@ -2,7 +2,7 @@
 
 The oracles deliberately take different computational routes than the
 library (dense Floyd-Warshall vs bitset BFS, numpy eigendecomposition vs
-power iteration, explicit pair enumeration vs degree-class aggregation)
+Lanczos, explicit pair enumeration vs degree-class aggregation)
 so agreement is meaningful.
 """
 
@@ -64,7 +64,18 @@ class GraphBuilder:
         return self._adj[u]
 
     def build(self):
-        return Graph(tuple(tuple(sorted(nbrs)) for nbrs in self._adj))
+        return graph_of_rows([sorted(nbrs) for nbrs in self._adj])
+
+
+def graph_of_rows(rows):
+    """``Graph(degrees, targets)`` whose node u links to the sorted row ``rows[u]``.
+
+    The rows are flattened as given, not sorted, so rows that break an
+    invariant reach the constructor's check as they are.
+    """
+    deg = np.array([len(row) for row in rows], dtype=np.int64)
+    dst = np.array([v for row in rows for v in row], dtype=np.int64)
+    return Graph(deg, dst)
 
 
 def rows_of(g):
@@ -102,7 +113,7 @@ def reference_parse_edge_list(text):
         adj[v].add(u)
     if not ids:
         raise EdgeListError("no usable edges in input")
-    return Graph([sorted(nbrs) for nbrs in adj])
+    return graph_of_rows([sorted(nbrs) for nbrs in adj])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,7 +165,7 @@ def relabel(g, permutation):
     adj = [[] for _ in range(n)]
     for u in range(n):
         adj[perm[u]] = sorted(perm[v] for v in g.neighbors(u))
-    return Graph(tuple(tuple(a) for a in adj))
+    return graph_of_rows(adj)
 
 
 def jdm_edge_total(jdm):

@@ -78,7 +78,7 @@ class TestDecisionTree:
     def test_separable_1d(self):
         data = dataset([[0.0], [1.0], [10.0], [11.0]], [0, 0, 1, 1])
         tree = train_tree(data)
-        assert not tree.root.is_leaf
+        assert tree.root.feature >= 0
         assert 1.0 < tree.root.threshold < 10.0
         assert tree.predict(data.features).tolist() == [0, 0, 1, 1]
 
@@ -89,7 +89,7 @@ class TestDecisionTree:
     def test_identical_features_single_leaf(self):
         data = dataset([[2.0], [2.0], [2.0]], [0, 1, 1])
         tree = train_tree(data)
-        assert tree.root.is_leaf
+        assert tree.root.feature < 0
         assert tree.predict([[2.0]]).tolist() == [1]
 
     def test_xor_needs_depth_two(self):
@@ -117,7 +117,7 @@ class TestDecisionTree:
 
 
 def depth(node):
-    return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+    return 0 if node.feature < 0 else 1 + max(depth(node.left), depth(node.right))
 
 
 def corpus_shaped(rng, n):
@@ -136,7 +136,7 @@ def assert_same_tree(node, ref, path="root"):
     assert node.counts == ref.counts, path
     assert node.feature == ref.feature, path
     assert float(node.threshold).hex() == float(ref.threshold).hex(), path
-    if not ref.is_leaf:
+    if ref.feature >= 0:
         assert_same_tree(node.left, ref.left, path + ".left")
         assert_same_tree(node.right, ref.right, path + ".right")
 
@@ -249,7 +249,7 @@ class TestFixedSettings:
     def test_two_rows_of_two_classes_split(self):
         # min_samples_split is 2: the smallest impure node still splits
         tree = train_tree(dataset([[0.0], [1.0]], [0, 1]))
-        assert not tree.root.is_leaf
+        assert tree.root.feature >= 0
         assert tree.root.threshold == 0.5
         assert (tree.root.left.counts, tree.root.right.counts) == ((1, 0), (0, 1))
 

@@ -15,6 +15,7 @@ from netfit import metrics
 from netfit.cli import main
 from netfit.data import corpus_manifest
 from netfit.dataset import DatasetTable
+from netfit.fitting import MODELS
 from netfit.graph import parse_edge_list
 from netfit.metrics import CSV_HEADER
 
@@ -109,14 +110,14 @@ class TestMeasure:
         names = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert names == ["tri"]
 
-    def test_power_iteration_failure_keeps_other_rows(self, tmp_path, capsys, one_step_solver):
+    def test_eigenvector_failure_keeps_other_rows(self, tmp_path, capsys, one_step_solver):
         ring = tmp_path / "ring.txt"
         ring.write_text(CYCLE12)
         food = corpus_manifest().parent / "food_00.txt"
         out = tmp_path / "f.csv"
         assert main(["measure", str(food), str(ring), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {food}: power iteration did not converge after 1 ")
+        assert err.startswith(f"error: {food}: Lanczos did not converge after 1 ")
         assert err.count("\n") == 1
         names = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
         assert names == ["ring"]
@@ -240,6 +241,30 @@ class TestPipeline:
         for rel in sorted(p.relative_to(out_serial) for p in out_serial.rglob("*.json")):
             assert (out_serial / rel).read_bytes() == (out_parallel / rel).read_bytes()
 
+    def test_each_graph_is_written_before_the_next_one_runs(self, tmp_path, tiny_manifest,
+                                                             monkeypatch):
+        calls = []
+        run_one, write = netfit.cli._pipeline_one, netfit.cli._write
+
+        def recorded_run(entry, *args):
+            calls.append(("run", entry[0]))
+            return run_one(entry, *args)
+
+        def recorded_write(path, text):
+            calls.append(("write", path.name))
+            write(path, text)
+
+        monkeypatch.setattr(netfit.cli, "_pipeline_one", recorded_run)
+        monkeypatch.setattr(netfit.cli, "_write", recorded_write)
+        out = tmp_path / "run"
+        assert main(["pipeline", str(tiny_manifest), "--out", str(out), "--seed", "7",
+                     "--budget", "1", "--fit-replicates", "1"]) == 0
+        second = calls.index(("run", "chems_04"))
+        assert calls[0] == ("run", "food_00")
+        assert sorted(calls[1:second]) == sorted(
+            ("write", f"food_00_{spec.name}.{ext}") for spec in MODELS for ext in ("json", "txt"))
+        assert calls[-1] == ("write", "dataset.csv")
+
     def test_missing_file_failure_exit(self, tmp_path):
         manifest = tmp_path / "m.csv"
         manifest.write_text("name,path,domain\nghost,missing.txt,food\n")
@@ -248,7 +273,7 @@ class TestPipeline:
         )
         assert code == 1
 
-    def test_power_iteration_failure_on_a_real_graph(self, tmp_path, capsys, one_step_solver):
+    def test_eigenvector_failure_on_a_real_graph(self, tmp_path, capsys, one_step_solver):
         ring = tmp_path / "ring.txt"
         ring.write_text(CYCLE12)
         corpus = corpus_manifest().parent
@@ -258,7 +283,7 @@ class TestPipeline:
         code, out = run_pipeline(tmp_path, manifest, "run")
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: food_00: power iteration did not converge after 1 " in err
+        assert "error: food_00: Lanczos did not converge after 1 " in err
         real = [(r.name, r.subcategory) for r in DatasetTable.from_csv(out / "dataset.csv").rows
                 if r.category == "real"]
         assert real == [("ring", "Real")]

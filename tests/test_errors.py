@@ -20,10 +20,10 @@ from netfit.cli import main
 from netfit.data import corpus_manifest
 from netfit.fitting import params_from_json_obj
 from netfit.graph import InputError, ItemFailure, ParameterError
-from netfit.metrics import PowerIterationError
+from netfit.metrics import EigenvectorError
 
 # constructor arguments of the classes that take more than a message
-SAMPLE_ARGS = {PowerIterationError: (1e-3, 5)}
+SAMPLE_ARGS = {EigenvectorError: (1e-3, 5)}
 
 
 def netfit_exceptions():
@@ -42,7 +42,7 @@ def sample(cls):
 
 def test_discovery_finds_both_bases_and_their_subclasses():
     names = {cls.__name__ for cls in netfit_exceptions()}
-    assert {"InputError", "ItemFailure", "EdgeListError", "PowerIterationError",
+    assert {"InputError", "ItemFailure", "EdgeListError", "EigenvectorError",
             "StabilityError"} <= names
 
 
@@ -97,10 +97,10 @@ def test_any_other_exception_propagates(tmp_path, monkeypatch, argv, module, nam
         main([command, str(graph), *options, "--out", str(tmp_path / "out")])
 
 
-def test_power_iteration_error_keeps_its_message():
-    exc = pickle.loads(pickle.dumps(PowerIterationError(1e-3, 5)))
-    assert str(exc) == "power iteration did not converge after 5 iterations (residual 1.000e-03)"
-    assert (exc.residual, exc.iterations) == (1e-3, 5)
+def test_eigenvector_error_keeps_its_message():
+    exc = pickle.loads(pickle.dumps(EigenvectorError(1e-3, 5)))
+    assert str(exc) == "Lanczos did not converge after 5 steps (residual 1.000e-03)"
+    assert (exc.residual, exc.steps) == (1e-3, 5)
 
 
 @pytest.mark.parametrize(

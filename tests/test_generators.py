@@ -29,7 +29,6 @@ from netfit.generators import (
     validate_jdm,
     ws_rows,
 )
-from netfit.graph import Graph
 from netfit.metrics import (
     average_clustering,
     average_path_length_normalized,
@@ -41,6 +40,7 @@ from helpers import (
     connected_components,
     degree_sequence,
     graph_from_edges,
+    graph_of_rows,
     pseudo_real_graph,
     reference_cba_rows,
     reference_generate_cba,
@@ -260,7 +260,7 @@ class TestRowBuilders:
     def test_graph_of_sorted_rows_is_the_generated_graph(self, build, generate, params):
         for seed in range(5):
             rows, _ = build(params, seed)
-            assert Graph([sorted(row) for row in rows]) == generate(params, seed)
+            assert graph_of_rows([sorted(row) for row in rows]) == generate(params, seed)
 
 
 JDM = "invalid joint degree matrix: "

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netfit.cli import main
-from netfit.dataset import DatasetError, DatasetRow, DatasetTable
+from netfit.dataset import DatasetError, DatasetRow, DatasetTable, csv_text
 from netfit.gof import (
     canberra_distance,
     correlation_matrix,
@@ -89,19 +90,31 @@ class TestDatasetTable:
         with pytest.raises(DatasetError):
             DatasetTable(rows=(make_row("a", [float("nan")] + [0.5] * 6),))
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         rows = (
             make_row("a", [0.1, -0.2, 0.3, 2.5, 0.4, 0.5, 1.25]),
             make_row("a", [0.15, -0.1, 0.2, 2.5, 0.35, 0.55, 1.0],
                      category="model", subcategory="WS"),
         )
         table = DatasetTable(rows=rows)
-        again = DatasetTable.from_csv_text(table.to_csv_text())
-        assert again == table
+        path = tmp_path / "dataset.csv"
+        path.write_text(table.to_csv_text(), encoding="utf-8")
+        assert DatasetTable.from_csv(path) == table
 
-    def test_csv_header_mismatch(self):
-        with pytest.raises(DatasetError, match="missing columns"):
-            DatasetTable.from_csv_text("name,size\nx,3\n")
+    def test_csv_header_mismatch(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        path.write_text("name,size\nx,3\n", encoding="utf-8")
+        where = re.escape(f"dataset {path}:1: ")
+        with pytest.raises(DatasetError, match=f"^{where}header mismatch; missing columns"):
+            DatasetTable.from_csv(path)
+
+    @given(st.floats(allow_nan=False))
+    @settings(max_examples=300)
+    def test_csv_text_writes_each_float_once_exactly(self, x):
+        text = csv_text(["float", "float64", "none"], [[x, np.float64(x), None]])
+        record = next(csv.reader(io.StringIO(text.splitlines()[1])))
+        assert record == [repr(x), repr(x), ""]
+        assert [float(cell).hex() for cell in record[:2]] == [x.hex()] * 2
 
 
 class TestMeanDistanceMatrix:

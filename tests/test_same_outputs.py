@@ -1,11 +1,14 @@
-"""tools/same_outputs.py: the per-column report on two output trees, and the pinned
-output digests."""
+"""tools/same_outputs.py: the per-column report on two output trees, the pinned
+output digests, and ``pipeline --jobs 2`` against the pinned ``--jobs 1`` tree."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from netfit.cli import main
 
 
 def _load_same_outputs():
@@ -69,13 +72,37 @@ def test_identical_trees_report_nothing(tmp_path):
     assert same_outputs.column_report(_tree(tmp_path / "r", files), _tree(tmp_path / "w", files)) == []
 
 
-def test_outputs_match_the_pinned_digests(tmp_path):
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """(output directory, digests) of one in-process run of the digest steps."""
+    out_dir = tmp_path_factory.mktemp("digest_run")
+    return out_dir, same_outputs.output_digests(out_dir)
+
+
+def test_outputs_match_the_pinned_digests(digest_run):
     pinned = json.loads(same_outputs.DIGESTS.read_text(encoding="utf-8"))
     assert pinned["numpy"] == np.__version__, (
         f"the output digests were written with numpy {pinned['numpy']}, this is numpy "
         f"{np.__version__}; rewrite them with tools/same_outputs.py --write-digests "
         "once the outputs are checked")
-    got = same_outputs.output_digests(tmp_path)
+    got = digest_run[1]
     changed = sorted(path for path in got.keys() | pinned["files"].keys()
                      if got.get(path) != pinned["files"].get(path))
     assert not changed, f"{len(changed)} output files differ from the pinned digests: {changed}"
+
+
+def _file_bytes(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_two_jobs_write_the_same_pipeline_tree(digest_run):
+    out_dir = digest_run[0]
+    args = [str(arg) for arg in dict(same_outputs.command_set())["pipeline_jobs2"]]
+    assert args[args.index("--jobs") + 1] == "2"
+    args[args.index("--out") + 1] = str(out_dir / "pipeline_jobs2")
+    assert main(args) == 0
+    serial, parallel = (_file_bytes(out_dir / name) for name in ("pipeline_jobs1",
+                                                                  "pipeline_jobs2"))
+    assert serial.keys() == parallel.keys()
+    assert [rel for rel in serial if serial[rel] != parallel[rel]] == []

@@ -37,7 +37,9 @@ The digest steps of the same command set (``pipeline --jobs 1``,
 it, and the n = 5000 ``generate`` and ``measure``) are pinned in
 ``tests/data/output_digests.json``: one SHA-256 per output file, with
 the numpy version that wrote them. A tier-1 test reruns those steps
-in-process and names every file that differs. A change that alters
+in-process and names every file that differs; it also runs
+``pipeline --jobs 2`` and checks that it writes the ``--jobs 1`` tree
+byte for byte. A change that alters
 these bytes on purpose rewrites the file with
 
     python3 tools/same_outputs.py --write-digests
