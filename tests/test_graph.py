@@ -232,6 +232,25 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match=f"^{message}$"):
             graph_of_rows(adjacency)
 
+    def test_constructor_takes_the_arrays_over(self):
+        deg = np.array([1, 2, 1], dtype=np.int64)
+        dst = np.array([1, 0, 2, 1], dtype=np.int64)
+        g = Graph(deg, dst)
+        assert g.degree_array is deg and g.edge_endpoints[1] is dst
+        assert not deg.flags.writeable and not dst.flags.writeable
+
+    @pytest.mark.parametrize("make_rows", [
+        lambda: [[3, 1], [4, 0], [4], [0], [2, 1]],
+        lambda: [{1, 3}, {0, 4}, {4}, {0}, {1, 2}],
+        lambda: [(3, 1), (0, 4), (4,), (0,), (2, 1)],
+        lambda: [range(3, 0, -2), [4, 0], range(4, 5), range(1), [2, 1]],
+    ], ids=["unsorted-lists", "sets", "tuples", "ranges"])
+    def test_handed_over_rows_may_be_in_any_order(self, make_rows):
+        rows = make_rows()
+        g = Graph.from_rows(rows)
+        assert rows == [None] * 5
+        assert g == graph_of_rows([[1, 3], [0, 4], [4], [0], [1, 2]])
+
     @pytest.mark.parametrize(
         "deg,dst,message",
         [
